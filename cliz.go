@@ -334,13 +334,12 @@ type Option func(*config)
 type CompressOption = Option
 
 type config struct {
-	trace        *Trace
-	workers      int
-	boundEvery   int
-	entropy      EntropyKind
-	materialized bool
-	keyframe     int
-	ctx          context.Context
+	trace      *Trace
+	workers    int
+	boundEvery int
+	entropy    EntropyKind
+	keyframe   int
+	ctx        context.Context
 }
 
 // interrupt maps the config's context (if any) onto the core's polling
@@ -370,14 +369,20 @@ func WithTrace(t *Trace) Option {
 	return func(c *config) { c.trace = t }
 }
 
-// WithWorkers bounds intra-blob parallelism: sectioned prediction (or
-// reconstruction on decode), sharded entropy coding and parallel
-// transposition all run on up to n goroutines. n <= 1 (the default) keeps
-// everything on the calling goroutine. The encoded blob is deterministic for
-// a fixed n; decode output never depends on n at all, because the section
-// partition is read back from the blob header. Chunked containers combine
-// this with chunk-level concurrency (the chunk workers argument), so the
-// two multiply — keep the product near GOMAXPROCS.
+// WithWorkers sets the goroutine budget of a call.
+//
+// On compress it bounds intra-blob parallelism: sectioned prediction,
+// sharded entropy coding and parallel transposition run on up to n
+// goroutines, and n <= 1 (the default) keeps them on the calling goroutine.
+// The encoded blob is deterministic for a fixed n. CompressChunked applies
+// n inside each chunk on top of its own chunk workers argument, so the two
+// multiply there — keep the product near GOMAXPROCS.
+//
+// On decode the meaning depends on the blob. A regular blob reconstructs on
+// up to n goroutines (n <= 1 is serial). A chunked container decodes its
+// chunks on n goroutines, GOMAXPROCS when n <= 0 (the default), and each
+// chunk decodes serially, so nothing multiplies. Decode output never
+// depends on n, because the section partition is read back from the blob.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -410,15 +415,6 @@ func WithEntropy(k EntropyKind) Option {
 // entry points ignore the option. The default is 16.
 func WithKeyframeInterval(k int) Option {
 	return func(c *config) { c.keyframe = k }
-}
-
-// WithMaterializedPermute forces the legacy copy-based permute/unpermute
-// stages instead of the fused stride traversal, on whichever side the
-// option is passed to. Output is bit-identical either way (the fusion is a
-// pure traversal optimization); the switch exists for differential testing
-// and as an escape hatch.
-func WithMaterializedPermute() Option {
-	return func(c *config) { c.materialized = true }
 }
 
 // WithBoundCheck enables decode-time bound self-verification: after the
@@ -506,11 +502,10 @@ func Compress(ds *Dataset, eb ErrorBound, pipe *Pipeline, opts ...Option) ([]byt
 		return nil, nil, err
 	}
 	blob, err := core.Compress(ids, abs, p, core.Options{
-		Trace:               cfg.trace.collector(),
-		Workers:             cfg.workers,
-		Entropy:             cfg.entropy,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
+		Trace:     cfg.trace.collector(),
+		Workers:   cfg.workers,
+		Entropy:   cfg.entropy,
+		Interrupt: cfg.interrupt(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -519,31 +514,20 @@ func Compress(ds *Dataset, eb ErrorBound, pipe *Pipeline, opts ...Option) ([]byt
 }
 
 // Decompress reconstructs the data and its dims from a CliZ blob — either a
-// regular blob from Compress or a chunked container from CompressChunked
-// (chunks decode concurrently). WithWorkers bounds intra-blob decode
-// parallelism; the output is identical for every worker count.
+// regular blob from Compress or a chunked container from CompressChunked.
+// See WithWorkers for how the worker count applies to each; the output is
+// identical for every worker count.
 func Decompress(blob []byte, opts ...Option) ([]float32, []int, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	opt := core.DecompressOptions{
-		Workers:             cfg.workers,
-		Trace:               cfg.trace.collector(),
-		BoundCheckEvery:     cfg.boundEvery,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
-	}
-	if core.IsChunked(blob) {
-		return core.DecompressChunkedOpts(blob, cfg.workers, opt)
-	}
-	return core.DecompressWithOptions(blob, opt)
-}
-
-// DecompressTraced is Decompress with an attached stage collector recording
-// per-stage decode timings and byte counts (t may be nil).
-func DecompressTraced(blob []byte, t *Trace) ([]float32, []int, error) {
-	return Decompress(blob, WithTrace(t))
+	return core.Decompress(blob, core.DecompressOptions{
+		Workers:         cfg.workers,
+		Trace:           cfg.trace.collector(),
+		BoundCheckEvery: cfg.boundEvery,
+		Interrupt:       cfg.interrupt(),
+	})
 }
 
 // SectionCheck is the verification result for one blob section. Path names
@@ -668,7 +652,9 @@ func DecompressVerified(blob []byte, opts ...Option) ([]float32, []int, *VerifyR
 // intact chunks land in the output, undecodable chunks are reported in the
 // VerifyReport's DamagedChunks and their regions filled with quiet NaN so
 // they cannot be mistaken for data. Non-chunked blobs behave like
-// DecompressVerified. The error is non-nil only when nothing was decodable.
+// DecompressVerified. The error is non-nil only when nothing was decodable;
+// when every chunk is damaged it wraps ErrCorrupt and the report still
+// lists them all.
 func DecompressPartial(blob []byte, opts ...Option) ([]float32, []int, *VerifyReport, error) {
 	var cfg config
 	for _, o := range opts {

@@ -446,7 +446,7 @@ func TestPublicTrace(t *testing.T) {
 	if len(tr.Stages()) != 0 {
 		t.Fatal("Reset did not clear records")
 	}
-	if _, _, err := cliz.DecompressTraced(blob, &tr); err != nil {
+	if _, _, err := cliz.Decompress(blob, cliz.WithTrace(&tr)); err != nil {
 		t.Fatal(err)
 	}
 	found := false

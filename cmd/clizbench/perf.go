@@ -138,7 +138,7 @@ func runPerf(scale float64, reps, workers int, outDir string, log io.Writer) err
 			}
 			dRec.Reset()
 			t0 = time.Now()
-			if _, _, err = core.DecompressTraced(blob, &dRec); err != nil {
+			if _, _, err = core.Decompress(blob, core.DecompressOptions{Trace: &dRec}); err != nil {
 				return fmt.Errorf("%s: decompress: %w", name, err)
 			}
 			dTimes = append(dTimes, time.Since(t0))
@@ -194,7 +194,7 @@ func runPerf(scale float64, reps, workers int, outDir string, log io.Writer) err
 					return fmt.Errorf("%s: parallel compress: %w", name, err)
 				}
 				t0 = time.Now()
-				if _, _, err = core.DecompressWithOptions(pBlob,
+				if _, _, err = core.Decompress(pBlob,
 					core.DecompressOptions{Workers: workers}); err != nil {
 					return fmt.Errorf("%s: parallel decompress: %w", name, err)
 				}

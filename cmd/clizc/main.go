@@ -64,7 +64,7 @@ func run(args []string) error {
 		ncVar        = fs.String("nc-var", "", "read this variable from a NetCDF classic -in file (dims come from the file)")
 		ncMask       = fs.String("nc-mask", "", "NetCDF variable holding the region mask (0 = invalid)")
 		chunks       = fs.Int("chunks", 0, "CliZ only: split along dim 0 into this many chunks compressed in parallel")
-		workers      = fs.Int("workers", 0, "worker goroutines for -chunks (0 = all cores)")
+		workers      = fs.Int("workers", 0, "worker goroutines for -chunks, and for decode (0 = all cores for a chunked blob, serial otherwise)")
 		verbose      = fs.Bool("v", false, "CliZ only: print a per-stage timing/byte table to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -200,15 +200,13 @@ func run(args []string) error {
 	if *verbose {
 		tc = &rec
 	}
-	if core.IsChunked(blob) {
-		data, dims, err = core.DecompressChunkedTraced(blob, *workers, tc)
-		if err != nil {
-			return err
-		}
-		used = "CliZ (chunked)"
-	} else if d, dm, derr := core.DecompressTraced(blob, tc); derr == nil {
+	chunked := core.IsChunked(blob)
+	if d, dm, derr := core.Decompress(blob, core.DecompressOptions{Workers: *workers, Trace: tc}); derr == nil {
 		data, dims, used = d, dm, "CliZ"
-	} else if core.IsUnit(blob) {
+		if chunked {
+			used = "CliZ (chunked)"
+		}
+	} else if chunked || core.IsUnit(blob) {
 		// The magic says CliZ; no other codec can recognise it. Surface the
 		// real failure (v3 blobs attribute it to a named section) instead of
 		// the generic no-codec message.

@@ -33,7 +33,7 @@ func main() {
 	decode := fs.Bool("decode", false, "decompress the blob and print a decode stage table")
 	verify := fs.Bool("verify", false, "recompute all integrity checksums and print a damage report")
 	boundCheck := fs.Int("bound-check", 0, "with -decode: re-verify every n-th decoded point against the error bound (0 = off)")
-	workers := fs.Int("workers", 0, "decode workers for chunked blobs (0 = all cores)")
+	workers := fs.Int("workers", 0, "decode workers (0 = all cores for a chunked blob, serial otherwise)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -66,12 +66,7 @@ func main() {
 	if *decode {
 		var rec trace.Recorder
 		opt := core.DecompressOptions{Workers: *workers, Trace: &rec, BoundCheckEvery: *boundCheck}
-		var data []float32
-		if core.IsChunked(blob) {
-			data, _, err = core.DecompressChunkedOpts(blob, *workers, opt)
-		} else {
-			data, _, err = core.DecompressWithOptions(blob, opt)
-		}
+		data, _, err := core.Decompress(blob, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clizinspect: decode:", err)
 			os.Exit(1)

@@ -9,7 +9,7 @@ import (
 )
 
 // lintModule writes a tiny single-package module with one deliberate
-// boundedalloc finding and returns its directory.
+// taintsize finding and returns its directory.
 func lintModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -60,8 +60,8 @@ func TestRunReportsFindings(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("want exit 1 on findings, got %d (stdout %q)", code, stdout)
 	}
-	if !strings.Contains(stdout, "boundedalloc") {
-		t.Fatalf("want a boundedalloc finding, got %q", stdout)
+	if !strings.Contains(stdout, "taintsize") {
+		t.Fatalf("want a taintsize finding, got %q", stdout)
 	}
 }
 

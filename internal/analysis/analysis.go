@@ -9,7 +9,7 @@ import (
 // Version identifies the static-analysis contract implemented by this
 // package. Bump it whenever an analyzer's rules change materially; it is
 // recorded in conformance reproducer artifacts.
-const Version = "clizlint/1"
+const Version = "clizlint/2"
 
 // Severity classifies a diagnostic.
 type Severity string
@@ -79,7 +79,6 @@ func (p *Pass) report(pos token.Pos, sev Severity, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoPanic,
-		AnalyzerBoundedAlloc,
 		AnalyzerErrWrap,
 		AnalyzerTracePair,
 		AnalyzerFloatEq,

@@ -14,10 +14,10 @@ import (
 // graph (parameters, results, locals, with field and index edges) plus
 // bottom-up function summaries propagated to a fixpoint over the
 // callgraph. The summaries power the taintsize, ctxpoll and goroleak
-// analyzers and reuse the boundedalloc analyzer's taint-source and
-// sanitizer heuristics as their summary sources, so the single-function
-// contract of PR 5 and the interprocedural contract agree on what a
-// "bitstream read" and a "bounds check" are.
+// analyzers. taintsize's taint-source and sanitizer heuristics
+// (taintSourcePattern, sanitizerCallPattern) are the summary sources too,
+// so its zero-hop and cross-call findings agree on what a "bitstream
+// read" and a "bounds check" are.
 
 // Program is the shared whole-module view built once per Run and handed
 // to every analyzer through Pass.Prog: the callgraph, the decode-contract
@@ -51,7 +51,7 @@ type funcSummary struct {
 	// function literals are excluded.
 	blocking bool
 	// taintedResults[i] reports result i is an integer derived from a
-	// bitstream read (boundedalloc's taint sources) with no intervening
+	// bitstream read (taintSourcePattern) with no intervening
 	// bounds check.
 	taintedResults []bool
 	// resultParams[i] is the bitmask of parameters whose value flows to
@@ -532,7 +532,7 @@ func isIntType(t types.Type) bool {
 }
 
 // directSourceIn looks for a bitstream read inside e: a call matching
-// boundedalloc's taintSourcePattern, or a call to a module-local callee
+// taintSourcePattern, or a call to a module-local callee
 // whose summary marks its (single) result tainted.
 func (fl *funcFlow) directSourceIn(e ast.Expr) *taintVal {
 	var out *taintVal
@@ -685,8 +685,7 @@ func (fl *funcFlow) addMultiEdge(lhs []ast.Expr, rhsExpr ast.Expr, pos token.Pos
 }
 
 // markComparisonRefs records every ref participating in a relational
-// comparison as sanitized from the comparison's position on (the
-// boundedalloc rule, lifted from names to value-graph refs).
+// comparison as sanitized from the comparison's position on.
 func (fl *funcFlow) markComparisonRefs(cond ast.Expr) {
 	ast.Inspect(cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
@@ -903,8 +902,8 @@ func (fl *funcFlow) summaryFacts() ([]bool, []uint64, map[int]string) {
 			tainted[i] = true
 		}
 		// An inline pattern-source call (return r.ReadBits(n)) is a tainted
-		// result even though taintOfExpr skips it intra-function (that
-		// double-report guard is about sinks, not summaries).
+		// result even though taintOfExpr skips it (the zero-hop sink rule
+		// tracks named values only).
 		if src := fl.directSourceIn(e); src != nil {
 			tainted[i] = true
 		}

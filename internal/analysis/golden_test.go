@@ -125,9 +125,6 @@ func runGolden(t *testing.T, fixture string, analyzers []*Analyzer) {
 }
 
 func TestGoldenNoPanic(t *testing.T) { runGolden(t, "nopanic/grid", []*Analyzer{AnalyzerNoPanic}) }
-func TestGoldenBoundedAlloc(t *testing.T) {
-	runGolden(t, "boundedalloc/bitio", []*Analyzer{AnalyzerBoundedAlloc})
-}
 func TestGoldenErrWrap(t *testing.T) { runGolden(t, "errwrap/core", []*Analyzer{AnalyzerErrWrap}) }
 func TestGoldenTracePair(t *testing.T) {
 	runGolden(t, "tracepair/tracecheck", []*Analyzer{AnalyzerTracePair})
@@ -135,6 +132,9 @@ func TestGoldenTracePair(t *testing.T) {
 func TestGoldenFloatEq(t *testing.T) { runGolden(t, "floateq/quant", []*Analyzer{AnalyzerFloatEq}) }
 func TestGoldenTaintSize(t *testing.T) {
 	runGolden(t, "taintsize/codec", []*Analyzer{AnalyzerTaintSize})
+}
+func TestGoldenTaintSizeZeroHop(t *testing.T) {
+	runGolden(t, "taintsize/bitio", []*Analyzer{AnalyzerTaintSize})
 }
 func TestGoldenCtxPoll(t *testing.T) {
 	runGolden(t, "ctxpoll/stream", []*Analyzer{AnalyzerCtxPoll})
@@ -161,39 +161,40 @@ func TestRegressServiceRefresh(t *testing.T) {
 func TestGoldenDirectives(t *testing.T) { runGolden(t, "directive", Analyzers()) }
 
 // TestEachAnalyzerFires pins the disabled-check property directly: every
-// analyzer must produce at least one diagnostic on its fixture, so
-// neutering Run for an analyzer cannot pass unnoticed.
+// analyzer must produce at least one diagnostic on each of its fixtures,
+// so neutering Run for an analyzer (or one of its cases) cannot pass
+// unnoticed.
 func TestEachAnalyzerFires(t *testing.T) {
-	fixtures := map[string]string{
-		"nopanic":      "nopanic/grid",
-		"boundedalloc": "boundedalloc/bitio",
-		"errwrap":      "errwrap/core",
-		"tracepair":    "tracepair/tracecheck",
-		"floateq":      "floateq/quant",
-		"taintsize":    "taintsize/codec",
-		"ctxpoll":      "ctxpoll/stream",
-		"goroleak":     "goroleak/service",
+	fixtures := map[string][]string{
+		"nopanic":   {"nopanic/grid"},
+		"errwrap":   {"errwrap/core"},
+		"tracepair": {"tracepair/tracecheck"},
+		"floateq":   {"floateq/quant"},
+		"taintsize": {"taintsize/codec", "taintsize/bitio"},
+		"ctxpoll":   {"ctxpoll/stream"},
+		"goroleak":  {"goroleak/service"},
 	}
 	l := sharedLoader(t)
 	for _, a := range Analyzers() {
-		fixture, ok := fixtures[a.Name]
-		if !ok {
+		if len(fixtures[a.Name]) == 0 {
 			t.Errorf("analyzer %s has no golden fixture", a.Name)
 			continue
 		}
-		pkgs, err := l.LoadPatterns([]string{"./internal/analysis/testdata/src/" + fixture})
-		if err != nil {
-			t.Fatalf("load fixture %s: %v", fixture, err)
-		}
-		found := false
-		for _, d := range Run(l.Fset, pkgs, []*Analyzer{a}) {
-			if d.Analyzer == a.Name {
-				found = true
-				break
+		for _, fixture := range fixtures[a.Name] {
+			pkgs, err := l.LoadPatterns([]string{"./internal/analysis/testdata/src/" + fixture})
+			if err != nil {
+				t.Fatalf("load fixture %s: %v", fixture, err)
 			}
-		}
-		if !found {
-			t.Errorf("analyzer %s reported nothing on fixture %s: check disabled?", a.Name, fixture)
+			found := false
+			for _, d := range Run(l.Fset, pkgs, []*Analyzer{a}) {
+				if d.Analyzer == a.Name {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("analyzer %s reported nothing on fixture %s: check disabled?", a.Name, fixture)
+			}
 		}
 	}
 }

@@ -29,15 +29,14 @@ func allocRecords(n uint64) []uint64 {
 
 // DecodeTwoHop routes the count through readCount -> plumb -> here and
 // into allocRecords' make with no check anywhere: a three-function flow
-// neither boundedalloc nor a single-hop check can see.
+// no single-function check can see.
 func DecodeTwoHop(src []byte) []uint64 {
 	n := plumb(src)
 	return allocRecords(n) // want `bitstream-derived value n \(from plumb\(\)\) flows unchecked into a make\(\) in allocRecords`
 }
 
 // DecodeFrame allocates directly from a helper-read count: the taint
-// crossed one call boundary, so this is taintsize's finding, not
-// boundedalloc's.
+// crossed one call boundary, so this is a cross-call finding.
 func DecodeFrame(src []byte) []byte {
 	n := readCount(src)
 	return make([]byte, n) // want `make\(\) sized by n, a bitstream-derived value from readCount\(\)`

@@ -246,11 +246,11 @@ func decodeOpts(c Case, workers int) core.DecompressOptions {
 	return core.DecompressOptions{Workers: workers, BoundCheckEvery: c.Opts.BoundCheck}
 }
 
+// decodeCase decodes through the single core entry point: workers bounds
+// intra-blob parallelism for a unit blob and chunk concurrency for a
+// chunked container.
 func decodeCase(c Case, blob []byte, workers int) ([]float32, []int, error) {
-	if core.IsChunked(blob) {
-		return core.DecompressChunkedOpts(blob, chunkWorkers(c), decodeOpts(c, workers))
-	}
-	return core.DecompressWithOptions(blob, decodeOpts(c, workers))
+	return core.Decompress(blob, decodeOpts(c, workers))
 }
 
 // checkRatio: the blob is non-empty, the ratio is finite and positive, and
@@ -405,13 +405,7 @@ func checkDeterminism(v *Verdict, c Case, blob []byte, first []float32, hook Hoo
 		// it must pass on an honest blob.
 		opt := decodeOpts(c, c.Opts.Workers)
 		opt.BoundCheckEvery = 7
-		var err error
-		if core.IsChunked(blob) {
-			_, _, err = core.DecompressChunkedOpts(blob, chunkWorkers(c), opt)
-		} else {
-			_, _, err = core.DecompressWithOptions(blob, opt)
-		}
-		if err != nil {
+		if _, _, err := core.Decompress(blob, opt); err != nil {
 			v.addf(InvBoundCheck, "bound self-check rejected an honest blob: %v", err)
 		}
 	}

@@ -44,7 +44,7 @@ func (c *Codec) Compress(ds *dataset.Dataset, eb float64) ([]byte, error) {
 
 // Decompress implements codec.Compressor.
 func (*Codec) Decompress(blob []byte) ([]float32, []int, error) {
-	return Decompress(blob)
+	return Decompress(blob, DecompressOptions{})
 }
 
 func (c *Codec) pipelineFor(ds *dataset.Dataset, eb float64) (Pipeline, error) {

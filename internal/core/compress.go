@@ -558,12 +558,14 @@ func entropyStats(c trace.Collector, blocks ...[]byte) []trace.KV {
 }
 
 // DecompressOptions tune the decode side. The zero value is the serial
-// default.
+// default for a unit blob and GOMAXPROCS chunk goroutines for a CLZP
+// container.
 type DecompressOptions struct {
-	// Workers bounds intra-blob decode parallelism (sharded entropy decode,
-	// sectioned reconstruction, parallel transposition). The reconstruction
-	// partition comes from the blob header, so the output is identical for
-	// every worker count.
+	// Workers sets decode parallelism: intra-blob goroutines (sharded
+	// entropy decode, sectioned reconstruction, parallel transposition) for
+	// a unit blob, chunk goroutines for a CLZP container; Decompress gives
+	// the defaults. The reconstruction partition comes from the blob, so the
+	// output is identical for every worker count.
 	Workers int
 	// Trace receives per-stage decode records; nil disables collection.
 	Trace trace.Collector
@@ -600,20 +602,18 @@ func (o DecompressOptions) prefixed(prefix string) DecompressOptions {
 	return o
 }
 
-// Decompress reconstructs the data and original dims from a CliZ blob.
-func Decompress(blob []byte) ([]float32, []int, error) {
-	pos := 0
-	return decompressAt(blob, &pos, DecompressOptions{Workers: 1})
-}
-
-// DecompressTraced is Decompress with an attached stage collector recording
-// per-stage decode timings and byte counts.
-func DecompressTraced(blob []byte, c trace.Collector) ([]float32, []int, error) {
-	return DecompressWithOptions(blob, DecompressOptions{Trace: c})
-}
-
-// DecompressWithOptions is Decompress with decode-side knobs.
-func DecompressWithOptions(blob []byte, opt DecompressOptions) ([]float32, []int, error) {
+// Decompress reconstructs the data and original dims from a blob, which is
+// either a CliZ unit blob or a CLZP chunked container; the magic bytes
+// decide. A container decodes its chunks on opt.Workers goroutines
+// (GOMAXPROCS when opt.Workers <= 0), each chunk serially, and traces under
+// "chunked-total" and "chunk[i]/...". A unit blob decodes with up to
+// opt.Workers goroutines (serially when opt.Workers <= 1) and traces under
+// "total".
+func Decompress(blob []byte, opt DecompressOptions) ([]float32, []int, error) {
+	if IsChunked(blob) {
+		data, dims, _, err := decompressChunked(blob, opt, false)
+		return data, dims, err
+	}
 	pos := 0
 	total := trace.Begin(opt.Trace, "total")
 	data, dims, err := decompressAt(blob, &pos, opt)

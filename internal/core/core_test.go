@@ -24,7 +24,7 @@ func checkRoundTrip(t *testing.T, ds *dataset.Dataset, eb float64, p Pipeline) (
 	if err != nil {
 		t.Fatalf("compress [%s]: %v", p, err)
 	}
-	got, dims, err := Decompress(blob)
+	got, dims, err := Decompress(blob, DecompressOptions{})
 	if err != nil {
 		t.Fatalf("decompress [%s]: %v", p, err)
 	}
@@ -192,7 +192,7 @@ func TestCompressWithReconMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(blob)
+	got, _, err := Decompress(blob, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,21 +235,21 @@ func TestDecompressCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(nil); err == nil {
+	if _, _, err := Decompress(nil, DecompressOptions{}); err == nil {
 		t.Fatal("nil blob accepted")
 	}
-	if _, _, err := Decompress([]byte("BOGUSDATA")); err == nil {
+	if _, _, err := Decompress([]byte("BOGUSDATA"), DecompressOptions{}); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	for _, cut := range []int{5, 20, len(blob) / 2, len(blob) - 3} {
-		if _, _, err := Decompress(blob[:cut]); err == nil {
+		if _, _, err := Decompress(blob[:cut], DecompressOptions{}); err == nil {
 			t.Fatalf("truncated blob (%d bytes) accepted", cut)
 		}
 	}
 	// Flipping the version byte must fail cleanly.
 	bad := append([]byte(nil), blob...)
 	bad[4] = 99
-	if _, _, err := Decompress(bad); err == nil {
+	if _, _, err := Decompress(bad, DecompressOptions{}); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }

@@ -51,23 +51,14 @@ func TestFuzzCorpusSeeds(t *testing.T) {
 					t.Fatalf("panic on seed %s: %v", e.Name(), r)
 				}
 			}()
-			_, _, err = Decompress(blob)
-			requireCleanError(t, "Decompress", err)
-			if IsChunked(blob) {
-				_, _, err = DecompressChunked(blob, 2)
-				requireCleanError(t, "DecompressChunked", err)
-			}
-			_, _, _, err = DecompressVerified(blob, DecompressOptions{})
-			requireCleanError(t, "DecompressVerified", err)
-			_, _, rep, err := DecompressPartial(blob, DecompressOptions{})
-			requireCleanError(t, "DecompressPartial", err)
-			if err == nil && rep == nil {
-				t.Error("DecompressPartial: nil report without error")
-			}
-			// Verify never errors; it must not panic and must always
-			// produce a structured report.
-			if rep := Verify(blob); rep == nil || rep.Kind == "" {
-				t.Error("Verify: missing or kindless report")
+			for _, ep := range decodeEntryPoints {
+				rep, err := ep.run(blob)
+				requireCleanError(t, ep.name, err)
+				// Every report-returning entry point must produce a
+				// structured report, error or not.
+				if ep.name != "Decompress" && (rep == nil || rep.Kind == "") {
+					t.Errorf("%s: missing or kindless report", ep.name)
+				}
 			}
 			if _, err := Inspect(blob); err != nil {
 				requireCleanError(t, "Inspect", err)

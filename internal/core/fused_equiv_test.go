@@ -78,11 +78,11 @@ func checkFusedEquivalence(t *testing.T, ds *dataset.Dataset, eb float64, p Pipe
 	if !bytes.Equal(floatsToBytes(frecon), floatsToBytes(lrecon)) {
 		t.Fatalf("[%s] fused and materialized compress-side recons differ", p)
 	}
-	fdec, fdims, err := DecompressWithOptions(fblob, DecompressOptions{})
+	fdec, fdims, err := Decompress(fblob, DecompressOptions{})
 	if err != nil {
 		t.Fatalf("fused decode [%s]: %v", p, err)
 	}
-	ldec, ldims, err := DecompressWithOptions(fblob, DecompressOptions{MaterializedPermute: true})
+	ldec, ldims, err := Decompress(fblob, DecompressOptions{MaterializedPermute: true})
 	if err != nil {
 		t.Fatalf("legacy decode [%s]: %v", p, err)
 	}
@@ -187,11 +187,11 @@ func TestFusedMatchesMaterializedChunked(t *testing.T) {
 	if !bytes.Equal(fblob, lblob) {
 		t.Fatalf("chunked container differs: %d vs %d bytes", len(fblob), len(lblob))
 	}
-	fdec, _, err := DecompressChunkedOpts(fblob, 2, DecompressOptions{})
+	fdec, _, err := Decompress(fblob, DecompressOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("fused chunked decode: %v", err)
 	}
-	ldec, _, err := DecompressChunkedOpts(fblob, 2, DecompressOptions{MaterializedPermute: true})
+	ldec, _, err := Decompress(fblob, DecompressOptions{Workers: 2, MaterializedPermute: true})
 	if err != nil {
 		t.Fatalf("legacy chunked decode: %v", err)
 	}

@@ -285,14 +285,10 @@ func TestFuzzCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		t.Run(e.Name(), func(t *testing.T) {
-			if IsChunked(blob) {
-				_, _, _ = DecompressChunked(blob, 1)
-				_, _, _, _ = DecompressPartial(blob, DecompressOptions{})
-			} else {
-				_, _, _ = Decompress(blob)
+			for _, ep := range decodeEntryPoints {
+				_, _ = ep.run(blob)
 			}
 			_, _ = Inspect(blob)
-			_ = Verify(blob)
 		})
 		ran++
 	}

@@ -35,13 +35,32 @@ func FuzzDecompress(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		// Must never panic; errors and garbage output are acceptable.
-		if IsChunked(blob) {
-			_, _, _ = DecompressChunked(blob, 1)
-			_, _, _, _ = DecompressPartial(blob, DecompressOptions{})
-		} else {
-			_, _, _ = Decompress(blob)
+		for _, ep := range decodeEntryPoints {
+			_, _ = ep.run(blob)
 		}
 		_, _ = Inspect(blob)
-		_ = Verify(blob)
 	})
+}
+
+// decodeEntryPoints are the exported decode functions every hostile-input
+// test drives. Each takes a blob of any kind (unit or chunked container) and
+// must fail with an error, never a panic; all but Decompress return a
+// verification report.
+var decodeEntryPoints = []struct {
+	name string
+	run  func(blob []byte) (*VerifyReport, error)
+}{
+	{"Decompress", func(b []byte) (*VerifyReport, error) {
+		_, _, err := Decompress(b, DecompressOptions{Workers: 1})
+		return nil, err
+	}},
+	{"DecompressVerified", func(b []byte) (*VerifyReport, error) {
+		_, _, rep, err := DecompressVerified(b, DecompressOptions{})
+		return rep, err
+	}},
+	{"DecompressPartial", func(b []byte) (*VerifyReport, error) {
+		_, _, rep, err := DecompressPartial(b, DecompressOptions{})
+		return rep, err
+	}},
+	{"Verify", func(b []byte) (*VerifyReport, error) { return Verify(b), nil }},
 }

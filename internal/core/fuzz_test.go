@@ -25,7 +25,7 @@ func TestDecompressNeverPanicsOnMutations(t *testing.T) {
 				t.Fatalf("decoder panicked: %v", r)
 			}
 		}()
-		_, _, _ = Decompress(b)
+		_, _, _ = Decompress(b, DecompressOptions{})
 		_, _ = Inspect(b)
 	}
 	// Single-byte flips across the whole blob (sampled for speed).
@@ -70,7 +70,7 @@ func TestChunkedDecoderNeverPanics(t *testing.T) {
 				t.Fatalf("chunked decoder panicked: %v", r)
 			}
 		}()
-		_, _, _ = DecompressChunked(b, 2)
+		_, _, _ = Decompress(b, DecompressOptions{Workers: 2})
 	}
 	for trial := 0; trial < 400; trial++ {
 		bad := append([]byte(nil), blob...)

@@ -26,7 +26,7 @@ func TestGoldenV2Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 4} {
-				recon, dims, err := DecompressWithOptions(blob, DecompressOptions{Workers: w})
+				recon, dims, err := Decompress(blob, DecompressOptions{Workers: w})
 				if err != nil {
 					t.Fatalf("decode workers=%d: %v", w, err)
 				}

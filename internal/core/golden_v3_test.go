@@ -36,7 +36,7 @@ func TestGoldenV3Fixtures(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				recon, _, err := Decompress(blob)
+				recon, _, err := Decompress(blob, DecompressOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestGoldenV3Fixtures(t *testing.T) {
 			}
 			// …and decode must be bit-exact at every worker count.
 			for _, w := range []int{1, 4} {
-				recon, dims, err := DecompressWithOptions(blob, DecompressOptions{Workers: w})
+				recon, dims, err := Decompress(blob, DecompressOptions{Workers: w})
 				if err != nil {
 					t.Fatalf("decode workers=%d: %v", w, err)
 				}

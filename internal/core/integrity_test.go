@@ -77,7 +77,7 @@ func TestByteFlipNeverSilent(t *testing.T) {
 		for i := range blob {
 			copy(mut, blob)
 			mut[i] ^= delta
-			_, _, decErr := Decompress(mut)
+			_, _, decErr := Decompress(mut, DecompressOptions{})
 			if decErr != nil {
 				continue
 			}
@@ -133,7 +133,7 @@ func TestVerifyNamesDamagedSection(t *testing.T) {
 		}
 	}
 
-	_, _, decErr := Decompress(mut)
+	_, _, decErr := Decompress(mut, DecompressOptions{})
 	if decErr == nil {
 		t.Fatal("Decompress accepted the corrupted blob")
 	}
@@ -153,7 +153,7 @@ func TestDecompressVerifiedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := Decompress(blob)
+	plain, _, err := Decompress(blob, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,52 +244,72 @@ func TestDecompressPartialSalvagesIntactChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine, _, err := DecompressChunked(blob, 2)
+	pristine, _, err := Decompress(blob, DecompressOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the middle chunk's payload (the parsed chunk blobs alias mut).
-	mut := append([]byte(nil), blob...)
-	_, chunks, err := parseChunkedContainer(mut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 3 {
-		t.Fatalf("%d chunks", len(chunks))
-	}
-	chunks[1].blob[len(chunks[1].blob)/2] ^= 0xFF
+	// Inputs: the middle chunk damaged (salvageable), then every chunk
+	// damaged (nothing decodable).
+	for _, damaged := range [][]int{{1}, {0, 1, 2}} {
+		// Corrupt the chosen chunks' payloads (the parsed chunk blobs alias
+		// mut).
+		mut := append([]byte(nil), blob...)
+		_, chunks, err := parseChunkedContainer(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != 3 {
+			t.Fatalf("%d chunks", len(chunks))
+		}
+		for _, c := range damaged {
+			chunks[c].blob[len(chunks[c].blob)/2] ^= 0xFF
+		}
 
-	// The strict paths refuse the whole container.
-	if _, _, err := DecompressChunked(mut, 2); err == nil {
-		t.Fatal("strict chunked decode accepted a damaged container")
-	}
-	if _, _, _, err := DecompressVerified(mut, DecompressOptions{}); err == nil {
-		t.Fatal("DecompressVerified accepted a damaged container")
-	}
+		// The strict paths refuse the whole container.
+		if _, _, err := Decompress(mut, DecompressOptions{Workers: 2}); err == nil {
+			t.Fatalf("damaged %v: strict chunked decode accepted a damaged container", damaged)
+		}
+		if _, _, _, err := DecompressVerified(mut, DecompressOptions{}); err == nil {
+			t.Fatalf("damaged %v: DecompressVerified accepted a damaged container", damaged)
+		}
 
-	got, dims, rep, err := DecompressPartial(mut, DecompressOptions{})
-	if err != nil {
-		t.Fatalf("partial decode: %v", err)
-	}
-	if !dimsEqual(dims, ds.Dims) {
-		t.Fatalf("dims %v", dims)
-	}
-	if rep.OK() {
-		t.Fatal("report claims OK despite a damaged chunk")
-	}
-	if len(rep.DamagedChunks) != 1 || rep.DamagedChunks[0].Index != 1 {
-		t.Fatalf("DamagedChunks = %+v, want exactly chunk 1", rep.DamagedChunks)
-	}
-	dmg := rep.DamagedChunks[0]
-	plane := len(pristine) / ds.Dims[0]
-	lo, hi := dmg.LeadStart*plane, (dmg.LeadStart+dmg.LeadLen)*plane
-	for i, v := range got {
-		if i >= lo && i < hi {
-			if !math.IsNaN(float64(v)) {
-				t.Fatalf("damaged region point %d = %g, want NaN", i, v)
+		got, dims, rep, err := DecompressPartial(mut, DecompressOptions{})
+		if len(rep.DamagedChunks) != len(damaged) {
+			t.Fatalf("damaged %v: DamagedChunks = %+v", damaged, rep.DamagedChunks)
+		}
+		for i, c := range damaged {
+			if rep.DamagedChunks[i].Index != c {
+				t.Fatalf("damaged %v: DamagedChunks = %+v", damaged, rep.DamagedChunks)
 			}
-		} else if v != pristine[i] {
-			t.Fatalf("intact point %d = %g, want %g", i, v, pristine[i])
+		}
+		if rep.OK() {
+			t.Fatalf("damaged %v: report claims OK despite damaged chunks", damaged)
+		}
+		if len(damaged) == len(chunks) {
+			// Nothing was decodable: the error says so and no field comes
+			// back, while the report still names every damaged chunk.
+			if !errors.Is(err, ErrCorrupt) || got != nil {
+				t.Fatalf("all chunks damaged: err=%v, %d points returned", err, len(got))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("damaged %v: partial decode: %v", damaged, err)
+		}
+		if !dimsEqual(dims, ds.Dims) {
+			t.Fatalf("dims %v", dims)
+		}
+		dmg := rep.DamagedChunks[0]
+		plane := len(pristine) / ds.Dims[0]
+		lo, hi := dmg.LeadStart*plane, (dmg.LeadStart+dmg.LeadLen)*plane
+		for i, v := range got {
+			if i >= lo && i < hi {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("damaged region point %d = %g, want NaN", i, v)
+				}
+			} else if v != pristine[i] {
+				t.Fatalf("intact point %d = %g, want %g", i, v, pristine[i])
+			}
 		}
 	}
 }
@@ -322,7 +342,7 @@ func TestHostileHeaderBudget(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			blob := craft(dims)
 			start := time.Now()
-			_, _, err := Decompress(blob)
+			_, _, err := Decompress(blob, DecompressOptions{})
 			if err == nil {
 				t.Fatal("hostile header accepted")
 			}

@@ -155,24 +155,6 @@ func IsUnit(blob []byte) bool {
 	return len(blob) >= 4 && string(blob[:4]) == magic
 }
 
-// DecompressChunked reverses CompressChunked, decoding chunks concurrently.
-func DecompressChunked(blob []byte, workers int) ([]float32, []int, error) {
-	return DecompressChunkedTraced(blob, workers, nil)
-}
-
-// DecompressChunkedTraced is DecompressChunked with an attached stage
-// collector; each chunk's decode stages are path-qualified "chunk[i]/...".
-func DecompressChunkedTraced(blob []byte, workers int, tc trace.Collector) ([]float32, []int, error) {
-	return DecompressChunkedOpts(blob, workers, DecompressOptions{Trace: tc})
-}
-
-// DecompressChunkedOpts is DecompressChunked with full decode-side knobs
-// (trace collector, decode-time bound self-verification).
-func DecompressChunkedOpts(blob []byte, workers int, opt DecompressOptions) ([]float32, []int, error) {
-	data, dims, _, err := decompressChunked(blob, workers, opt, false)
-	return data, dims, err
-}
-
 // chunkEntry is one parsed record of a chunked container.
 type chunkEntry struct {
 	lead int // extent along dims[0]
@@ -236,15 +218,19 @@ func parseChunkedContainer(blob []byte) ([]int, []chunkEntry, error) {
 	return dims, chunks, nil
 }
 
-// decompressChunked decodes a chunked container. With partial=false the
-// first chunk failure aborts the whole decode; with partial=true damaged
-// chunks are reported in the returned ChunkDamage list and their output
-// regions are filled with quiet NaN so they cannot be mistaken for data.
-func decompressChunked(blob []byte, workers int, opt DecompressOptions, partial bool) ([]float32, []int, []ChunkDamage, error) {
+// decompressChunked decodes a chunked container on opt.Workers chunk
+// goroutines (GOMAXPROCS when <= 0). With partial=false the first chunk
+// failure aborts the whole decode; with partial=true damaged chunks are
+// reported in the returned ChunkDamage list and their output regions are
+// filled with quiet NaN so they cannot be mistaken for data. A partial
+// decode in which every chunk is damaged fails with ErrCorrupt and still
+// returns the damage list.
+func decompressChunked(blob []byte, opt DecompressOptions, partial bool) ([]float32, []int, []ChunkDamage, error) {
 	dims, chunks, err := parseChunkedContainer(blob)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -314,6 +300,9 @@ func decompressChunked(blob []byte, workers int, opt DecompressOptions, partial 
 		for i := range region {
 			region[i] = nan
 		}
+	}
+	if len(damage) == nc {
+		return nil, nil, damage, fmt.Errorf("core: all %d chunks undecodable: %w", nc, ErrCorrupt)
 	}
 	sp.EndFull(int64(len(blob)), int64(vol)*4, int64(nc), nil)
 	return out, dims, damage, nil

@@ -15,7 +15,7 @@ import (
 // output. It must be rejected as corrupt.
 func TestChunkedPlaneMismatchRejected(t *testing.T) {
 	blob := chunkedPlaneMismatch(t)
-	if _, _, err := DecompressChunked(blob, 2); err == nil {
+	if _, _, err := Decompress(blob, DecompressOptions{Workers: 2}); err == nil {
 		t.Fatal("container with swapped trailing dims decoded without error")
 	}
 }
@@ -57,13 +57,13 @@ func TestDecodeWorkerCountIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refDims, err := Decompress(blob)
+	ref, refDims, err := Decompress(blob, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBound(t, ds, ref, eb)
 	for _, w := range []int{1, 2, 3, 8, 16} {
-		got, dims, err := DecompressWithOptions(blob, DecompressOptions{Workers: w})
+		got, dims, err := Decompress(blob, DecompressOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -107,7 +107,7 @@ func TestWorkersRoundTripPipelines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
-			recon, dims, err := Decompress(blob)
+			recon, dims, err := Decompress(blob, DecompressOptions{})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
@@ -136,11 +136,11 @@ func TestChunkedSingleChunkMatchesUnchunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Decompress(plain)
+	want, _, err := Decompress(plain, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, dims, err := DecompressChunked(chunked, 2)
+	got, dims, err := Decompress(chunked, DecompressOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestChunkedPeriodSnappedEquivalence(t *testing.T) {
 		}
 		var ref []byte
 		for _, w := range []int{1, 2, 4} {
-			recon, dims, err := DecompressChunked(blob, w)
+			recon, dims, err := Decompress(blob, DecompressOptions{Workers: w})
 			if err != nil {
 				t.Fatalf("chunks=%d workers=%d: %v", nChunks, w, err)
 			}

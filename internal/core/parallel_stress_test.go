@@ -42,7 +42,7 @@ func TestChunkedStress(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					data, dims, err := DecompressChunkedTraced(blob, i, &dec)
+					data, dims, err := Decompress(blob, DecompressOptions{Workers: i, Trace: &dec})
 					if err != nil {
 						errs[i] = err
 						return
@@ -121,7 +121,7 @@ func TestIntraBlobRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := DecompressWithOptions(ref, DecompressOptions{Workers: 4})
+	refOut, _, err := Decompress(ref, DecompressOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestIntraBlobRaceStress(t *testing.T) {
 					errs[g] = fmt.Errorf("iteration %d: encode not deterministic", it)
 					return
 				}
-				out, _, err := DecompressWithOptions(blob, DecompressOptions{Workers: 4})
+				out, _, err := Decompress(blob, DecompressOptions{Workers: 4})
 				if err != nil {
 					errs[g] = err
 					return

@@ -21,7 +21,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 		if !IsChunked(blob) {
 			t.Fatal("missing container magic")
 		}
-		got, dims, err := DecompressChunked(blob, 4)
+		got, dims, err := Decompress(blob, DecompressOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("chunks=%d: %v", nChunks, err)
 		}
@@ -45,7 +45,7 @@ func TestChunkedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sData, _, err := Decompress(serial)
+	sData, _, err := Decompress(serial, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestChunkedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cData, _, err := DecompressChunked(chunked, 1)
+	cData, _, err := Decompress(chunked, DecompressOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestChunkedShortChunksDropPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecompressChunked(blob, 2)
+	got, _, err := Decompress(blob, DecompressOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +113,20 @@ func TestChunkedCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressChunked(nil, 1); err == nil {
+	if _, _, err := Decompress(nil, DecompressOptions{Workers: 1}); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, _, err := DecompressChunked([]byte("CLZPx"), 1); err == nil {
+	if _, _, err := Decompress([]byte("CLZPx"), DecompressOptions{Workers: 1}); err == nil {
 		t.Fatal("bad version accepted")
 	}
 	for _, cut := range []int{6, len(blob) / 2, len(blob) - 2} {
-		if _, _, err := DecompressChunked(blob[:cut], 1); err == nil {
+		if _, _, err := Decompress(blob[:cut], DecompressOptions{Workers: 1}); err == nil {
 			t.Fatalf("truncated (%d) accepted", cut)
 		}
 	}
-	// Serial Decompress must reject the container (wrong magic for it).
-	if _, _, err := Decompress(blob); err == nil {
+	// The unit decoder behind the magic dispatch must reject the container.
+	pos := 0
+	if _, _, err := decompressAt(blob, &pos, DecompressOptions{}); err == nil {
 		t.Fatal("unit decoder accepted a container")
 	}
 }

@@ -80,7 +80,7 @@ func TestQuickRandomPipelines(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, gdims, err := Decompress(blob)
+		got, gdims, err := Decompress(blob, DecompressOptions{})
 		if err != nil {
 			return false
 		}

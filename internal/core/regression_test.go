@@ -62,7 +62,7 @@ func TestRegressionChunkedMaskRank2(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chunked compress with rank-%d mask: %v", len(tc.dims), err)
 			}
-			got, dims, err := DecompressChunked(blob, 2)
+			got, dims, err := Decompress(blob, DecompressOptions{Workers: 2})
 			if err != nil {
 				t.Fatalf("chunked decompress: %v", err)
 			}
@@ -103,7 +103,7 @@ func TestRegressionShardedRANSWorkers(t *testing.T) {
 		t.Fatalf("compress: %v", err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, gdims, err := DecompressWithOptions(blob, DecompressOptions{Workers: workers})
+		got, gdims, err := Decompress(blob, DecompressOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("decompress workers=%d: %v", workers, err)
 		}
@@ -140,7 +140,7 @@ func TestRegressionLevelAlphaSinglePoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("alpha=%g dims=%v compress: %v", tc.alpha, dims, err)
 			}
-			got, _, err := Decompress(blob)
+			got, _, err := Decompress(blob, DecompressOptions{})
 			if err != nil {
 				t.Fatalf("alpha=%g dims=%v decompress: %v", tc.alpha, dims, err)
 			}
@@ -187,7 +187,7 @@ func TestRegressionNonContiguousFusionFallback(t *testing.T) {
 	if !bytes.Equal(blob, lblob) {
 		t.Fatal("fallback blob differs from forced-materialized blob")
 	}
-	got, _, err := Decompress(blob)
+	got, _, err := Decompress(blob, DecompressOptions{})
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
 	}

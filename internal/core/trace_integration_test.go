@@ -156,7 +156,7 @@ func TestTraceChunkedAndDecode(t *testing.T) {
 		}
 	}
 	var dec trace.Recorder
-	data, dims, err := DecompressChunkedTraced(blob, 2, &dec)
+	data, dims, err := Decompress(blob, DecompressOptions{Workers: 2, Trace: &dec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTraceChunkedAndDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec.Reset()
-	if _, _, err := DecompressTraced(unit, &dec); err != nil {
+	if _, _, err := Decompress(unit, DecompressOptions{Trace: &dec}); err != nil {
 		t.Fatal(err)
 	}
 	agg := dec.Aggregate()

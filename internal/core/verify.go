@@ -234,16 +234,7 @@ func DecompressVerified(blob []byte, opt DecompressOptions) ([]float32, []int, *
 	}
 	stats := &verifyCounters{}
 	opt.stats = stats
-	var (
-		data []float32
-		dims []int
-		err  error
-	)
-	if IsChunked(blob) {
-		data, dims, err = DecompressChunkedOpts(blob, opt.Workers, opt)
-	} else {
-		data, dims, err = DecompressWithOptions(blob, opt)
-	}
+	data, dims, err := Decompress(blob, opt)
 	rep.BoundChecked = stats.boundChecked.Load()
 	return data, dims, rep, err
 }
@@ -254,7 +245,8 @@ func DecompressVerified(blob []byte, opt DecompressOptions) ([]float32, []int, *
 // they cannot be mistaken for data. Non-chunked blobs degrade to
 // DecompressVerified (a unit blob has no independent pieces to salvage). The
 // returned error is non-nil only when nothing was decodable (bad container
-// framing, or a damaged unit blob).
+// framing, every chunk damaged, or a damaged unit blob); the report still
+// lists the damaged chunks then.
 func DecompressPartial(blob []byte, opt DecompressOptions) ([]float32, []int, *VerifyReport, error) {
 	if !IsChunked(blob) {
 		return DecompressVerified(blob, opt)
@@ -264,13 +256,10 @@ func DecompressPartial(blob []byte, opt DecompressOptions) ([]float32, []int, *V
 	sp.EndFull(int64(len(blob)), 0, int64(len(rep.Sections)), nil)
 	stats := &verifyCounters{}
 	opt.stats = stats
-	data, dims, damage, err := decompressChunked(blob, opt.Workers, opt, true)
-	if err != nil {
-		return nil, nil, rep, err
-	}
+	data, dims, damage, err := decompressChunked(blob, opt, true)
 	rep.DamagedChunks = damage
 	rep.BoundChecked = stats.boundChecked.Load()
-	return data, dims, rep, nil
+	return data, dims, rep, err
 }
 
 // sectionCRC is exposed for tests crafting corrupted fixtures.

@@ -182,7 +182,7 @@ func (r *Reader) decodeFrame(t int) error {
 		return &FrameError{Frame: t, Err: ErrChecksum}
 	}
 	if rec.kind.Sync() {
-		data, dims, err := core.DecompressWithOptions(payload, r.opt)
+		data, dims, err := core.Decompress(payload, r.opt)
 		if err != nil {
 			return &FrameError{Frame: t, Err: corrupt(err)}
 		}

@@ -75,5 +75,5 @@ func (Compressor) Compress(ds *dataset.Dataset, eb float64) ([]byte, error) {
 
 // Decompress implements codec.Compressor.
 func (Compressor) Decompress(blob []byte) ([]float32, []int, error) {
-	return core.Decompress(blob)
+	return core.Decompress(blob, core.DecompressOptions{})
 }
