@@ -7,10 +7,11 @@
 package baselines
 
 import (
+	"errors"
+
 	"cliz"
 	"cliz/internal/codec"
 	"cliz/internal/dataset"
-	"cliz/internal/mask"
 
 	// Register all compressors.
 	_ "cliz/internal/qoz"
@@ -48,38 +49,20 @@ func Decompress(name string, blob []byte) ([]float32, []int, error) {
 }
 
 func convert(ds *cliz.Dataset, eb cliz.ErrorBound) (*dataset.Dataset, float64, error) {
-	ids := &dataset.Dataset{
+	if ds == nil {
+		return nil, 0, errors.New("baselines: nil dataset")
+	}
+	ids, err := dataset.FromFlat(dataset.Dataset{
 		Name:      ds.Name,
 		Data:      ds.Data,
 		Dims:      ds.Dims,
 		Lead:      dataset.LeadKind(ds.Lead),
 		Periodic:  ds.Periodic,
 		FillValue: ds.FillValue,
-	}
-	if ds.MaskRegions != nil && len(ds.Dims) >= 2 {
-		nLat := ds.Dims[len(ds.Dims)-2]
-		nLon := ds.Dims[len(ds.Dims)-1]
-		ids.Mask = mask.New(nLat, nLon, ds.MaskRegions)
-	}
-	if err := ids.Validate(); err != nil {
+	}, ds.MaskRegions)
+	if err != nil {
 		return nil, 0, err
 	}
-	var abs float64
-	switch {
-	case eb.Abs > 0 && eb.Rel == 0:
-		abs = eb.Abs
-	case eb.Rel > 0 && eb.Abs == 0:
-		abs = ids.AbsErrorBound(eb.Rel)
-	default:
-		return nil, 0, errBound
-	}
-	return ids, abs, nil
-}
-
-var errBound = errInvalidBound{}
-
-type errInvalidBound struct{}
-
-func (errInvalidBound) Error() string {
-	return "baselines: exactly one of Rel/Abs must be positive"
+	abs, err := ids.ResolveBound(eb.Rel, eb.Abs)
+	return ids, abs, err
 }

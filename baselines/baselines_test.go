@@ -135,3 +135,35 @@ func TestNonFiniteRoundTripOrError(t *testing.T) {
 		})
 	}
 }
+
+// TestBoundsResolvedLikeCliZ runs every compressor through the bound
+// resolver the cliz API uses: a non-finite absolute bound and a relative
+// bound on a constant field have no meaning, so each must be refused
+// instead of producing an undecodable blob, NaNs or an unbounded error.
+func TestBoundsResolvedLikeCliZ(t *testing.T) {
+	constant := smallField()
+	for i := range constant.Data {
+		constant.Data[i] = 2.5
+	}
+	cases := []struct {
+		name string
+		ds   *cliz.Dataset
+		eb   cliz.ErrorBound
+	}{
+		{"abs-inf", smallField(), cliz.Abs(math.Inf(1))},
+		{"abs-nan", smallField(), cliz.Abs(math.NaN())},
+		{"rel-constant", constant, cliz.Rel(1e-2)},
+	}
+	for _, name := range baselines.Names() {
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				if _, err := baselines.Compress(name, tc.ds, tc.eb); err == nil {
+					t.Fatalf("%s accepted %+v", name, tc.eb)
+				}
+				if _, _, err := cliz.Compress(tc.ds, tc.eb, nil); err == nil {
+					t.Fatalf("cliz accepted %+v", tc.eb)
+				}
+			})
+		}
+	}
+}

@@ -27,14 +27,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"cliz/internal/core"
 	"cliz/internal/dataset"
 	"cliz/internal/entropy"
 	"cliz/internal/estimate"
-	"cliz/internal/mask"
 	"cliz/internal/trace"
 )
 
@@ -76,30 +74,14 @@ func (d *Dataset) internal() (*dataset.Dataset, error) {
 	if d == nil {
 		return nil, errors.New("cliz: nil dataset")
 	}
-	ds := &dataset.Dataset{
+	return dataset.FromFlat(dataset.Dataset{
 		Name:      d.Name,
 		Data:      d.Data,
 		Dims:      d.Dims,
 		Lead:      dataset.LeadKind(d.Lead),
 		Periodic:  d.Periodic,
 		FillValue: d.FillValue,
-	}
-	if d.MaskRegions != nil {
-		if len(d.Dims) < 2 {
-			return nil, errors.New("cliz: mask requires at least 2 dims")
-		}
-		nLat := d.Dims[len(d.Dims)-2]
-		nLon := d.Dims[len(d.Dims)-1]
-		if len(d.MaskRegions) != nLat*nLon {
-			return nil, fmt.Errorf("cliz: mask length %d != %d·%d",
-				len(d.MaskRegions), nLat, nLon)
-		}
-		ds.Mask = mask.New(nLat, nLon, d.MaskRegions)
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	}, d.MaskRegions)
 }
 
 // ErrorBound specifies the error budget: exactly one of Rel and Abs must be
@@ -115,32 +97,6 @@ func Rel(v float64) ErrorBound { return ErrorBound{Rel: v} }
 
 // Abs returns an absolute error bound.
 func Abs(v float64) ErrorBound { return ErrorBound{Abs: v} }
-
-func (e ErrorBound) resolve(ds *dataset.Dataset) (float64, error) {
-	switch {
-	case e.Abs > 0 && e.Rel == 0:
-		if math.IsInf(e.Abs, 0) || math.IsNaN(e.Abs) {
-			return 0, fmt.Errorf("cliz: non-finite absolute error bound %g", e.Abs)
-		}
-		return e.Abs, nil
-	case e.Rel > 0 && e.Abs == 0:
-		lo, hi := ds.ValueRange()
-		if hi-lo <= 0 {
-			// A constant field has no value range to scale against; the old
-			// behavior silently substituted a range of 1, turning "0.1% of
-			// the range" into an arbitrary absolute budget.
-			return 0, fmt.Errorf("cliz: relative bound %g on a field with zero value range [%g, %g]; use Abs for constant fields", e.Rel, lo, hi)
-		}
-		abs := ds.AbsErrorBound(e.Rel)
-		if math.IsInf(abs, 0) || math.IsNaN(abs) {
-			// An infinite value range (±Inf at a valid point) would resolve
-			// to an unbounded budget and silently destroy the data.
-			return 0, fmt.Errorf("cliz: relative bound %g resolves to non-finite absolute bound (non-finite values at valid points?)", e.Rel)
-		}
-		return abs, nil
-	}
-	return 0, fmt.Errorf("cliz: exactly one of Rel/Abs must be positive (got %+v)", e)
-}
 
 // Pipeline is a fully specified compression configuration — the output of
 // the offline auto-tuning stage. The zero value is invalid; obtain pipelines
@@ -218,7 +174,7 @@ func AutoTune(ds *Dataset, eb ErrorBound, opt *TuneOptions) (Pipeline, *TuneRepo
 	if err != nil {
 		return Pipeline{}, nil, err
 	}
-	abs, err := eb.resolve(ids)
+	abs, err := ids.ResolveBound(eb.Rel, eb.Abs)
 	if err != nil {
 		return Pipeline{}, nil, err
 	}
@@ -459,7 +415,7 @@ func prepare(ds *Dataset, eb ErrorBound, pipe *Pipeline) (*dataset.Dataset, floa
 	if err != nil {
 		return nil, 0, core.Pipeline{}, err
 	}
-	abs, err := eb.resolve(ids)
+	abs, err := ids.ResolveBound(eb.Rel, eb.Abs)
 	if err != nil {
 		return nil, 0, core.Pipeline{}, err
 	}

@@ -43,7 +43,7 @@ func Estimate(ds *Dataset, eb ErrorBound, opt *TuneOptions) (Pipeline, *Estimate
 	if err != nil {
 		return Pipeline{}, nil, err
 	}
-	abs, err := eb.resolve(ids)
+	abs, err := ids.ResolveBound(eb.Rel, eb.Abs)
 	if err != nil {
 		return Pipeline{}, nil, err
 	}

@@ -19,14 +19,6 @@ import (
 // Options tune implementation knobs that are not part of the paper's
 // pipeline search space.
 type Options struct {
-	// Radius is the quantizer radius; 0 selects quant.DefaultRadius.
-	Radius int32
-	// Lambda is the classification threshold; 0 selects the Theorem 2
-	// optimum 0.4.
-	Lambda float64
-	// Backend is the lossless stage ("Zstd" in the paper); nil selects
-	// flate level 6.
-	Backend lossless.Codec
 	// Entropy selects the symbol coder for quantization bins: Huffman
 	// (paper default), rANS, or interleaved rANS (same size class as rANS,
 	// faster decode). Decoding is driven by the block itself, so blobs
@@ -60,13 +52,6 @@ type Options struct {
 	sectionLeadFloor int
 }
 
-func (o Options) radius() int32 {
-	if o.Radius == 0 {
-		return quant.DefaultRadius
-	}
-	return o.Radius
-}
-
 func (o Options) workers() int {
 	if o.Workers < 1 {
 		return 1
@@ -74,12 +59,8 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) backend() lossless.Codec {
-	if o.Backend == nil {
-		return lossless.Flate{Level: 6}
-	}
-	return o.Backend
-}
+// backend is the lossless stage ("Zstd" in the paper): flate level 6.
+var backend lossless.Codec = lossless.Flate{Level: 6}
 
 // validity abstracts over the two mask representations: the horizontal
 // mask-map of real climate files (compact, broadcast across leading dims)
@@ -151,8 +132,9 @@ func compressGeneral(data []float32, dims []int, v validity, eb float64,
 	if err := interrupted(opt.Interrupt); err != nil {
 		return nil, nil, err
 	}
-	if eb <= 0 {
-		return nil, nil, fmt.Errorf("core: error bound must be positive, got %g", eb)
+	if !(eb > 0 && eb <= math.MaxFloat64) {
+		// parseHeader rejects a non-finite bound, so the blob would not decode.
+		return nil, nil, fmt.Errorf("core: error bound must be positive and finite, got %g", eb)
 	}
 	if err := p.Validate(len(dims)); err != nil {
 		return nil, nil, err
@@ -225,7 +207,7 @@ func compressPeriodic(data []float32, dims []int, v validity, eb float64,
 		flags:     flagPeriodic | maskFlags(v) | fitFlag(p),
 		eb:        eb,
 		fill:      fill,
-		radius:    opt.radius(),
+		radius:    quant.DefaultRadius,
 		dims:      dims,
 		pipe:      p,
 		psections: 1, // periodic wrappers carry no bin streams of their own
@@ -402,8 +384,20 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	if P > 1 {
 		predName = "predict-fanout"
 	}
+	h := header{
+		flags:     maskFlags(v) | fitFlag(p),
+		eb:        eb,
+		fill:      fill,
+		radius:    quant.DefaultRadius,
+		dims:      dims,
+		pipe:      p,
+		psections: P,
+	}
+	if p.Classify {
+		h.flags |= flagClassify
+	}
 	sp := trace.Begin(opt.Trace, predName)
-	bins, lits, err := predictSections(work, lay, tvalid, eb, p, fill, opt, P)
+	bins, lits, err := predictSections(work, lay, tvalid, h, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -412,18 +406,6 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		return nil, nil, err
 	}
 
-	h := header{
-		flags:     maskFlags(v) | fitFlag(p),
-		eb:        eb,
-		fill:      fill,
-		radius:    opt.radius(),
-		dims:      dims,
-		pipe:      p,
-		psections: P,
-	}
-	if p.Classify {
-		h.flags |= flagClassify
-	}
 	w := blobWriter{h: h}
 	switch {
 	case v.hm != nil:
@@ -437,13 +419,12 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		w.add(secMask, ms)
 		sp.EndBytes(int64(len(v.pts)), int64(len(ms)))
 	}
-	be := opt.backend()
 	if p.Classify {
 		sp = trace.Begin(opt.Trace, "classify")
 		nLat, nLon := latLon(dims)
 		colOf := columnIDs(dims, p.Perm)
 		cls := classify.Analyze(bins, colOf, nLat*nLon, tvalid,
-			classify.Params{Radius: opt.radius(), Lambda: opt.Lambda})
+			classify.Params{Radius: quant.DefaultRadius})
 		classify.ShiftBins(bins, colOf, tvalid, cls)
 		a, b := classify.Split(bins, colOf, tvalid, cls)
 		meta := classify.PackMeta(cls)
@@ -455,8 +436,8 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		sp.EndFull(int64(len(a)+len(b))*4, int64(len(encA)+len(encB)),
 			int64(len(a)+len(b)), entropyStats(opt.Trace, encA, encB))
 		sp = trace.Begin(opt.Trace, "lossless")
-		lsA := lossless.Encode(be, encA)
-		lsB := lossless.Encode(be, encB)
+		lsA := lossless.Encode(backend, encA)
+		lsB := lossless.Encode(backend, encB)
 		w.add(secBinsA, lsA)
 		w.add(secBinsB, lsB)
 		sp.EndBytes(int64(len(encA)+len(encB)), int64(len(lsA)+len(lsB)))
@@ -476,13 +457,13 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		*symsp = syms[:0]
 		symsPool.Put(symsp)
 		sp = trace.Begin(opt.Trace, "lossless")
-		ls := lossless.Encode(be, enc)
+		ls := lossless.Encode(backend, enc)
 		w.add(secBins, ls)
 		sp.EndBytes(int64(len(enc)), int64(len(ls)))
 	}
 	sp = trace.Begin(opt.Trace, "literals")
 	litRaw := float32sToBytes(lits)
-	litEnc := lossless.Encode(be, litRaw)
+	litEnc := lossless.Encode(backend, litRaw)
 	w.add(secLiterals, litEnc)
 	sp.EndFull(int64(len(litRaw)), int64(len(litEnc)), int64(len(lits)), nil)
 	out := w.bytes()
@@ -614,103 +595,63 @@ func Decompress(blob []byte, opt DecompressOptions) ([]float32, []int, error) {
 		data, dims, _, err := decompressChunked(blob, opt, false)
 		return data, dims, err
 	}
-	pos := 0
 	total := trace.Begin(opt.Trace, "total")
-	data, dims, err := decompressAt(blob, &pos, opt)
+	data, dims, _, err := decompressAt(blob, opt)
 	if err == nil {
 		total.EndFull(int64(len(blob)), int64(len(data))*4, int64(len(data)), nil)
 	}
 	return data, dims, err
 }
 
-func decompressAt(blob []byte, pos *int, opt DecompressOptions) ([]float32, []int, error) {
+// decompressAt decodes one unit or periodic blob. Besides the data and dims
+// it returns the blob's validity bitmap (nil when unmasked), which a
+// periodic parent needs to restore the fill values after composing.
+func decompressAt(blob []byte, opt DecompressOptions) ([]float32, []int, []bool, error) {
 	if err := interrupted(opt.Interrupt); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	c := opt.Trace
-	h, err := parseHeader(blob, pos)
+	var b blobRead
+	if err := readBlob(blob, &b); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := b.err(); err != nil {
+		return nil, nil, nil, err
+	}
+	h := &b.h
+	if h.flags&flagPeriodic == 0 {
+		return decompressUnit(&b, opt)
+	}
+	tmpl, tmplDims, _, err := decompressAt(b.payload(secTemplate), opt.prefixed("template"))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, fmt.Errorf("core: template: %w", err)
 	}
-	if h.flags&flagPeriodic != 0 {
-		sr := sectionReader{h: &h}
-		tmplSec, err := sr.next(blob, pos, secTemplate)
-		if err != nil {
-			return nil, nil, err
+	if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period {
+		return nil, nil, nil, ErrCorrupt
+	}
+	residual, resDims, valid, err := decompressAt(b.payload(secResidual), opt.prefixed("residual"))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: residual: %w", err)
+	}
+	if !dimsEqual(resDims, h.dims) {
+		return nil, nil, nil, ErrCorrupt
+	}
+	sp := trace.Begin(opt.Trace, "compose")
+	data := addTemplate(residual, tmpl, h.dims, h.pipe.Period)
+	if h.flags&(flagMask|flagPointMask) != 0 {
+		// Adding the template disturbed the fill values the residual
+		// decoder placed at masked points; restore them using the
+		// validity embedded in the residual blob.
+		if valid == nil {
+			return nil, nil, nil, ErrCorrupt
 		}
-		resSec, err := sr.next(blob, pos, secResidual)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !sr.done() {
-			return nil, nil, ErrCorrupt
-		}
-		tpos := 0
-		tmpl, tmplDims, err := decompressAt(tmplSec, &tpos, opt.prefixed("template"))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: template: %w", err)
-		}
-		if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period {
-			return nil, nil, ErrCorrupt
-		}
-		rpos := 0
-		residual, resDims, err := decompressAt(resSec, &rpos, opt.prefixed("residual"))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: residual: %w", err)
-		}
-		if !dimsEqual(resDims, h.dims) {
-			return nil, nil, ErrCorrupt
-		}
-		sp := trace.Begin(c, "compose")
-		data := addTemplate(residual, tmpl, h.dims, h.pipe.Period)
-		if h.flags&(flagMask|flagPointMask) != 0 {
-			// Adding the template disturbed the fill values the residual
-			// decoder placed at masked points; restore them using the
-			// validity embedded in the residual blob.
-			valid, err := validityFromUnitBlob(resSec, h.dims)
-			if err != nil {
-				return nil, nil, err
-			}
-			for i, ok := range valid {
-				if !ok {
-					data[i] = h.fill
-				}
+		for i, ok := range valid {
+			if !ok {
+				data[i] = h.fill
 			}
 		}
-		sp.EndFull(0, int64(len(data))*4, int64(len(data)), nil)
-		return data, h.dims, nil
 	}
-	return decompressUnit(blob, pos, h, opt)
-}
-
-// validityFromUnitBlob extracts the embedded validity bitmap of a unit blob.
-func validityFromUnitBlob(blob []byte, dims []int) ([]bool, error) {
-	pos := 0
-	h, err := parseHeader(blob, &pos)
-	if err != nil {
-		return nil, err
-	}
-	sr := sectionReader{h: &h}
-	switch {
-	case h.flags&flagMask != 0:
-		sec, err := sr.next(blob, &pos, secMask)
-		if err != nil {
-			return nil, err
-		}
-		hm, err := mask.Parse(sec)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		valid, err := hm.Broadcast(dims)
-		return valid, corrupt(err)
-	case h.flags&flagPointMask != 0:
-		sec, err := sr.next(blob, &pos, secMask)
-		if err != nil {
-			return nil, err
-		}
-		return unpackBitmap(sec, grid.Volume(dims))
-	}
-	return nil, ErrCorrupt
+	sp.EndFull(0, int64(len(data))*4, int64(len(data)), nil)
+	return data, h.dims, valid, nil
 }
 
 // checkDecodeBudget gates a declared volume against the hard decode caps and
@@ -731,52 +672,44 @@ func checkDecodeBudget(vol, avail int) error {
 	return nil
 }
 
-func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]float32, []int, error) {
+func decompressUnit(b *blobRead, opt DecompressOptions) ([]float32, []int, []bool, error) {
 	c := opt.Trace
 	workers := opt.workers()
+	h := &b.h
 	dims := h.dims
 	p := h.pipe
 	vol := grid.Volume(dims)
-	if err := checkDecodeBudget(vol, len(blob)-*pos); err != nil {
-		return nil, nil, err
+	if err := checkDecodeBudget(vol, b.size-b.hdr); err != nil {
+		return nil, nil, nil, err
 	}
-	sr := sectionReader{h: &h}
 	var validOrig, tvalid []bool
 	sp := trace.Begin(c, "mask")
 	switch {
 	case h.flags&flagMask != 0:
-		sec, err := sr.next(blob, pos, secMask)
+		hm, err := mask.Parse(b.payload(secMask))
 		if err != nil {
-			return nil, nil, err
-		}
-		hm, err := mask.Parse(sec)
-		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, nil, corrupt(err)
 		}
 		nLat, nLon := latLon(dims)
 		if hm.NLat != nLat || hm.NLon != nLon {
-			return nil, nil, ErrCorrupt
+			return nil, nil, nil, ErrCorrupt
 		}
 		validOrig, err = hm.Broadcast(dims)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, nil, corrupt(err)
 		}
 	case h.flags&flagPointMask != 0:
-		sec, err := sr.next(blob, pos, secMask)
+		var err error
+		validOrig, err = unpackBitmap(b.payload(secMask), vol)
 		if err != nil {
-			return nil, nil, err
-		}
-		var err2 error
-		validOrig, err2 = unpackBitmap(sec, vol)
-		if err2 != nil {
-			return nil, nil, err2
+			return nil, nil, nil, err
 		}
 	}
 	if validOrig != nil {
-		var err2 error
-		tvalid, err2 = grid.TransposeWorkers(validOrig, dims, p.Perm, workers)
-		if err2 != nil {
-			return nil, nil, corrupt(err2)
+		var err error
+		tvalid, err = grid.TransposeWorkers(validOrig, dims, p.Perm, workers)
+		if err != nil {
+			return nil, nil, nil, corrupt(err)
 		}
 	}
 	sp.EndFull(0, int64(len(validOrig)), int64(len(validOrig)), nil)
@@ -793,48 +726,35 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	}
 
 	sp = trace.Begin(c, "entropy-decode")
-	binsStart := *pos
+	lit := b.section(secLiterals)
+	binsStart := lit.start
 	var bins []int32
 	if h.flags&flagClassify != 0 {
-		metaSec, err := sr.next(blob, pos, secClassMeta)
-		if err != nil {
-			return nil, nil, err
-		}
-		aSec, err := sr.next(blob, pos, secBinsA)
-		if err != nil {
-			return nil, nil, err
-		}
-		bSec, err := sr.next(blob, pos, secBinsB)
-		if err != nil {
-			return nil, nil, err
-		}
+		binsStart = b.section(secClassMeta).start
 		nLat, nLon := latLon(dims)
-		cls, err := classify.UnpackMeta(metaSec, nLat*nLon)
+		cls, err := classify.UnpackMeta(b.payload(secClassMeta), nLat*nLon)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, nil, corrupt(err)
 		}
-		a, err := decodeSymbolSectionWorkers(aSec, workers, vol)
+		a, err := decodeSymbolSectionWorkers(b.payload(secBinsA), workers, vol)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		b, err := decodeSymbolSectionWorkers(bSec, workers, vol)
+		bb, err := decodeSymbolSectionWorkers(b.payload(secBinsB), workers, vol)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		colOf := columnIDs(dims, p.Perm)
-		bins, err = classify.Merge(a, b, colOf, tvalid, cls)
+		bins, err = classify.Merge(a, bb, colOf, tvalid, cls)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, nil, corrupt(err)
 		}
 		classify.UnshiftBins(bins, colOf, tvalid, cls)
 	} else {
-		sec, err := sr.next(blob, pos, secBins)
+		binsStart = b.section(secBins).start
+		syms, err := decodeSymbolSectionWorkers(b.payload(secBins), workers, vol)
 		if err != nil {
-			return nil, nil, err
-		}
-		syms, err := decodeSymbolSectionWorkers(sec, workers, vol)
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		bins = make([]int32, vol)
 		si := 0
@@ -843,48 +763,41 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 				continue
 			}
 			if si >= len(syms) {
-				return nil, nil, ErrCorrupt
+				return nil, nil, nil, ErrCorrupt
 			}
 			bins[i] = int32(syms[si])
 			si++
 		}
 		if si != len(syms) {
-			return nil, nil, ErrCorrupt
+			return nil, nil, nil, ErrCorrupt
 		}
 	}
-	sp.EndFull(int64(*pos-binsStart), int64(len(bins))*4, int64(len(bins)), nil)
+	sp.EndFull(int64(lit.start-binsStart), int64(len(bins))*4, int64(len(bins)), nil)
 	sp = trace.Begin(c, "literals-decode")
-	litSec, err := sr.next(blob, pos, secLiterals)
+	litBytes, err := lossless.Decode(lit.payload)
 	if err != nil {
-		return nil, nil, err
-	}
-	if !sr.done() {
-		return nil, nil, ErrCorrupt
-	}
-	litBytes, err := lossless.Decode(litSec)
-	if err != nil {
-		return nil, nil, corrupt(err)
+		return nil, nil, nil, corrupt(err)
 	}
 	lits, err := bytesToFloat32s(litBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	sp.EndFull(int64(len(litSec)), int64(len(litBytes)), int64(len(lits)), nil)
+	sp.EndFull(int64(len(lit.payload)), int64(len(litBytes)), int64(len(lits)), nil)
 	recName := "reconstruct"
 	if h.psections > 1 {
 		recName = "reconstruct-fanout"
 	}
 	sp = trace.Begin(c, recName)
 	out := make([]float32, vol)
-	if err := reconstructSections(bins, lits, lay, tvalid, h, workers, h.psections, c, out); err != nil {
-		return nil, nil, corrupt(err)
+	if _, err := replaySections(bins, lits, lay, tvalid, *h, workers, 0, c, out); err != nil {
+		return nil, nil, nil, corrupt(err)
 	}
 	sp.EndFull(int64(len(bins))*4, int64(len(out))*4, int64(len(out)), nil)
 	if opt.BoundCheckEvery > 0 {
 		sp = trace.Begin(c, "verify-bound")
-		n, err := verifySections(bins, lits, lay, tvalid, h, workers, h.psections, opt.BoundCheckEvery, out)
+		n, err := replaySections(bins, lits, lay, tvalid, *h, workers, opt.BoundCheckEvery, nil, out)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: bound self-verification: %w", corrupt(err))
+			return nil, nil, nil, fmt.Errorf("core: bound self-verification: %w", corrupt(err))
 		}
 		if opt.stats != nil {
 			opt.stats.boundChecked.Add(int64(n))
@@ -894,15 +807,15 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	// Under the fused layout the reconstruction already sits in the original
 	// array layout; the legacy path transposes back.
 	if fused {
-		return out, dims, nil
+		return out, dims, validOrig, nil
 	}
 	sp = trace.Begin(c, "unpermute")
 	data, err := grid.TransposeWorkers(out, tdims, grid.InversePerm(p.Perm), workers)
 	if err != nil {
-		return nil, nil, corrupt(err)
+		return nil, nil, nil, corrupt(err)
 	}
 	sp.EndFull(int64(len(out))*4, int64(len(data))*4, int64(len(data)), nil)
-	return data, dims, nil
+	return data, dims, validOrig, nil
 }
 
 // decodeSymbolSectionWorkers lossless-decodes and entropy-decodes one

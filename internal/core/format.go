@@ -19,14 +19,10 @@ import (
 //	section directory (version 3 only):
 //	  nsections | per section: id byte + CRC-32C uint32 LE of the payload
 //	  | CRC-32C uint32 LE over every header+directory byte so far
-//	sections (each uvarint length + payload), in order:
-//	  mask        (flagMask)
-//	  template    (flagPeriodic; nested full blob)
-//	  residual    (flagPeriodic; nested full blob)  — periodic blobs stop here
-//	  meta        (flagClassify)
-//	  streamA     (always for unit blobs; the single stream when !classify)
-//	  streamB     (flagClassify)
-//	  literals    (always for unit blobs)
+//	sections (each uvarint length + payload) in the order sectionPlan
+//	gives for the flags: a periodic blob carries two nested full blobs
+//	(template, residual); a unit blob carries the mask (if masked), then
+//	class-meta, bins-A and bins-B (if classified) or bins, then literals.
 //
 // psections is the number of contiguous predict/reconstruct sections the
 // fused leading dimension was cut into at encode time; the decoder replays
@@ -79,7 +75,7 @@ func sectionName(id byte) string {
 // Hard resource caps for untrusted input. A hostile header must not be able
 // to trigger allocations the payload cannot plausibly back.
 const (
-	// maxSections bounds the v3 directory (real blobs need at most 5).
+	// maxSections bounds the v3 directory (real blobs need at most maxPlan).
 	maxSections = 16
 	// maxDecodeVolume caps the point count a single blob may declare at
 	// decode time (format-level parsing allows more; Inspect stays cheap).
@@ -265,46 +261,176 @@ func (w *blobWriter) bytes() []byte {
 	return buf
 }
 
-// sectionReader walks the sections of one parsed blob in order. For v3
-// headers every read cross-checks the expected section id and the payload
-// CRC-32C against the directory before the bytes are handed out; v1/v2
-// headers degrade to a plain framed read.
-type sectionReader struct {
-	h   *header
-	idx int
+// maxPlan is the longest section plan: mask, class-meta, bins-A, bins-B,
+// literals.
+const maxPlan = 5
+
+// sectionPlan returns, in blob order, the ids of the sections a blob with
+// the given flags carries. It is the single statement of that rule: the
+// encoder adds sections in this order, and every reader (decode, Verify,
+// Inspect, the tuner's size split) gets its sections from readBlob, which
+// follows it. ids is scratch space, so the plan never allocates.
+func sectionPlan(flags byte, ids *[maxPlan]byte) []byte {
+	plan := ids[:0]
+	if flags&flagPeriodic != 0 {
+		return append(plan, secTemplate, secResidual)
+	}
+	if flags&(flagMask|flagPointMask) != 0 {
+		plan = append(plan, secMask)
+	}
+	if flags&flagClassify != 0 {
+		plan = append(plan, secClassMeta, secBinsA, secBinsB)
+	} else {
+		plan = append(plan, secBins)
+	}
+	return append(plan, secLiterals)
 }
 
-func (r *sectionReader) next(src []byte, pos *int, id byte) ([]byte, error) {
-	sec, err := readSection(src, pos)
+// section is one planned section of a blob as readBlob found it.
+type section struct {
+	id byte
+	// start is the offset of the section's length prefix in the blob.
+	start int
+	// payload is nil when the framing failed (or the v3 directory disagrees
+	// with the plan); later sections of the blob are then not read.
+	payload []byte
+	// bytes is the payload length, or the bytes left in the blob from start
+	// when the framing failed.
+	bytes int
+	// err is nil for an intact section, else a *SectionError: wrapping
+	// ErrChecksum when only the v3 payload CRC failed, ErrCorrupt otherwise.
+	err error
+}
+
+// blobRead is one unit or periodic blob after readBlob: the parsed header
+// and the planned sections, each with its own outcome.
+type blobRead struct {
+	h    header
+	size int // len of the blob
+	hdr  int // header (and v3 directory) bytes
+	end  int // offset past the last section read
+	secs [maxPlan]section
+	n    int
+}
+
+func (b *blobRead) sections() []section { return b.secs[:b.n] }
+
+// err returns the first damaged section's error, nil when every planned
+// section is intact.
+func (b *blobRead) err() error {
+	for i := range b.sections() {
+		if err := b.secs[i].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// section returns the planned section with the given id (nil if the plan
+// has none).
+func (b *blobRead) section(id byte) *section {
+	for i := range b.sections() {
+		if b.secs[i].id == id {
+			return &b.secs[i]
+		}
+	}
+	return nil
+}
+
+// payload returns the payload of section id; callers check err() first.
+func (b *blobRead) payload(id byte) []byte {
+	if s := b.section(id); s != nil {
+		return s.payload
+	}
+	return nil
+}
+
+// readBlob parses the header of src and reads every section its flags
+// plan. In v3 blobs each section's directory id and payload CRC-32C are
+// checked before the payload is handed out. A checksum failure is recorded
+// and the read goes on, since the framing still locates the next section; a
+// framing failure ends the read. The returned error is the header's:
+// nothing but size is set then.
+func readBlob(src []byte, b *blobRead) error {
+	b.size = len(src)
+	pos := 0
+	h, err := parseHeader(src, &pos)
 	if err != nil {
-		return nil, &SectionError{Section: sectionName(id), Err: err}
+		return err
 	}
-	if r.h.version >= version3 {
-		if r.idx >= len(r.h.secs) {
-			return nil, &SectionError{Section: sectionName(id),
-				Err: fmt.Errorf("section %d beyond %d-entry directory: %w", r.idx, len(r.h.secs), ErrCorrupt)}
-		}
-		ent := r.h.secs[r.idx]
-		if ent.id != id {
-			return nil, &SectionError{Section: sectionName(id),
-				Err: fmt.Errorf("directory lists %q here: %w", sectionName(ent.id), ErrCorrupt)}
-		}
-		// The framing and directory entry line up, so the walk can continue
-		// past a payload-checksum failure: advance before the CRC check.
-		r.idx++
-		if got := crc32.Checksum(sec, crcTable); got != ent.crc {
-			return nil, &SectionError{Section: sectionName(id), Err: ErrChecksum}
-		}
-		return sec, nil
+	var ids [maxPlan]byte
+	plan := sectionPlan(h.flags, &ids)
+	if h.version >= version3 && len(h.secs) != len(plan) {
+		return &SectionError{Section: "header", Err: fmt.Errorf(
+			"directory lists %d sections, flags %#x plan %d: %w", len(h.secs), h.flags, len(plan), ErrCorrupt)}
 	}
-	r.idx++
-	return sec, nil
+	b.h, b.hdr = h, pos
+	for i, id := range plan {
+		s := &b.secs[i]
+		*s = section{id: id, start: pos}
+		b.n = i + 1
+		payload, err := readSection(src, &pos)
+		if err == nil && h.version >= version3 && h.secs[i].id != id {
+			err = fmt.Errorf("directory lists %q here: %w", sectionName(h.secs[i].id), ErrCorrupt)
+		}
+		if err != nil {
+			s.bytes = len(src) - s.start
+			s.err = &SectionError{Section: sectionName(id), Err: err}
+			return nil
+		}
+		s.payload, s.bytes = payload, len(payload)
+		if h.version >= version3 && crc32.Checksum(payload, crcTable) != h.secs[i].crc {
+			s.err = &SectionError{Section: sectionName(id), Err: ErrChecksum}
+		}
+	}
+	b.end = pos
+	return nil
 }
 
-// done reports whether every directory entry was consumed (always true for
-// v1/v2 blobs, which carry no directory).
-func (r *sectionReader) done() bool {
-	return r.h.version < version3 || r.idx == len(r.h.secs)
+// blobNode is the structural walk of a blob tree, the one source Verify
+// and Inspect project. A unit or periodic blob holds its readBlob result,
+// with kids[i] the nested blob in section i (periodic blobs only; nil where
+// the section's framing failed). A CLZP container holds its dims and one kid
+// per chunk.
+type blobNode struct {
+	blobRead
+	// fault is the header failure, or the container's framing failure.
+	fault   error
+	chunked bool
+	dims    []int
+	kids    []*blobNode
+}
+
+// walk reads the whole blob tree without decoding any payload. Container
+// framing is validated by parseChunkedContainer, the decoder's own parser.
+func walk(src []byte) *blobNode {
+	if !IsChunked(src) {
+		return walkBlob(src)
+	}
+	n := &blobNode{chunked: true}
+	n.size = len(src)
+	var chunks []chunkEntry
+	n.dims, chunks, n.fault = parseChunkedContainer(src)
+	for _, ch := range chunks {
+		n.kids = append(n.kids, walkBlob(ch.blob))
+	}
+	return n
+}
+
+// walkBlob walks one unit or periodic blob, descending into every nested
+// blob whose section framing is intact, checksum failures included.
+func walkBlob(src []byte) *blobNode {
+	n := &blobNode{}
+	if n.fault = readBlob(src, &n.blobRead); n.fault != nil || n.h.flags&flagPeriodic == 0 {
+		return n
+	}
+	n.kids = make([]*blobNode, n.n)
+	for i, s := range n.sections() {
+		if s.payload != nil {
+			n.kids[i] = walkBlob(s.payload)
+		}
+	}
+	return n
 }
 
 func parseHeader(src []byte, pos *int) (header, error) {

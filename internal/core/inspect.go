@@ -49,116 +49,68 @@ func (b *BlobInfo) IntegrityTotal() int {
 	return n
 }
 
-// Inspect parses a blob's structure without decompressing the payload.
+// Inspect parses a blob's structure without decompressing the payload. It
+// is a projection of walk; section checksums are not judged here (Verify
+// does that), but a blob whose header or framing is damaged has no
+// structure to report and fails.
 func Inspect(blob []byte) (*BlobInfo, error) {
-	if IsChunked(blob) {
-		return inspectChunked(blob)
-	}
-	pos := 0
-	return inspectAt(blob, &pos)
+	return walk(blob).info()
 }
 
-func inspectAt(blob []byte, pos *int) (*BlobInfo, error) {
-	start := *pos
-	h, err := parseHeader(blob, pos)
-	if err != nil {
-		return nil, err
+// kind names a walked blob: "chunked", "periodic" or "unit".
+func (n *blobNode) kind() string {
+	switch {
+	case n.chunked:
+		return "chunked"
+	case n.fault == nil && n.h.flags&flagPeriodic != 0:
+		return "periodic"
+	}
+	return "unit"
+}
+
+func (n *blobNode) info() (*BlobInfo, error) {
+	if n.fault != nil {
+		return nil, n.fault
+	}
+	if n.chunked {
+		info := &BlobInfo{Kind: "chunked", Dims: n.dims, Total: n.size}
+		for i, k := range n.kids {
+			child, err := k.info()
+			if err != nil {
+				return nil, fmt.Errorf("chunk %d: %w", i, err)
+			}
+			child.Kind = fmt.Sprintf("chunk[%d] %s", i, child.Kind)
+			info.Children = append(info.Children, child)
+		}
+		return info, nil
 	}
 	info := &BlobInfo{
-		Dims:           h.dims,
-		EB:             h.eb,
-		Fill:           h.fill,
-		Pipeline:       h.pipe.String(),
-		Version:        int(h.version),
-		Checksummed:    h.version >= version3,
-		IntegrityBytes: h.integrityBytes,
-		PSections:      h.psections,
+		Kind:           n.kind(),
+		Dims:           n.h.dims,
+		EB:             n.h.eb,
+		Fill:           n.h.fill,
+		Pipeline:       n.h.pipe.String(),
+		Version:        int(n.h.version),
+		Checksummed:    n.h.version >= version3,
+		IntegrityBytes: n.h.integrityBytes,
+		PSections:      n.h.psections,
+		Sections:       []SectionInfo{{"header", n.hdr}},
+		Total:          n.end,
 	}
-	info.Sections = append(info.Sections, SectionInfo{"header", *pos - start})
-	if h.flags&flagPeriodic != 0 {
-		info.Kind = "periodic"
-		for _, name := range []string{"template", "residual"} {
-			sec, err := readSection(blob, pos)
-			if err != nil {
-				return nil, err
-			}
-			cpos := 0
-			child, err := inspectAt(sec, &cpos)
+	for i, s := range n.sections() {
+		if s.payload == nil {
+			return nil, s.err
+		}
+		name := sectionName(s.id)
+		info.Sections = append(info.Sections, SectionInfo{name, s.bytes})
+		if i < len(n.kids) {
+			child, err := n.kids[i].info()
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			child.Kind = name
 			info.Children = append(info.Children, child)
-			info.Sections = append(info.Sections, SectionInfo{name, len(sec)})
 		}
-		info.Total = *pos - start
-		return info, nil
-	}
-	info.Kind = "unit"
-	names := []string{}
-	if h.flags&(flagMask|flagPointMask) != 0 {
-		names = append(names, "mask")
-	}
-	if h.flags&flagClassify != 0 {
-		names = append(names, "class-meta", "bins-A", "bins-B")
-	} else {
-		names = append(names, "bins")
-	}
-	names = append(names, "literals")
-	for _, name := range names {
-		sec, err := readSection(blob, pos)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		info.Sections = append(info.Sections, SectionInfo{name, len(sec)})
-	}
-	info.Total = *pos - start
-	return info, nil
-}
-
-func inspectChunked(blob []byte) (*BlobInfo, error) {
-	pos := 4
-	if pos >= len(blob) || blob[pos] != version1 {
-		return nil, ErrCorrupt
-	}
-	pos++
-	nd, err := readUvarint(blob, &pos)
-	if err != nil || nd < 1 || nd > 8 {
-		return nil, ErrCorrupt
-	}
-	dims := make([]int, nd)
-	vol := 1
-	for i := range dims {
-		d, err := readUvarint(blob, &pos)
-		if err != nil || d == 0 || d > 1<<31 {
-			return nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-		if int(d) > (1<<33)/vol {
-			return nil, ErrCorrupt
-		}
-		vol *= int(d)
-	}
-	nc, err := readUvarint(blob, &pos)
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	info := &BlobInfo{Kind: "chunked", Dims: dims, Total: len(blob)}
-	for c := uint64(0); c < nc; c++ {
-		if _, err := readUvarint(blob, &pos); err != nil { // lead extent
-			return nil, err
-		}
-		sec, err := readSection(blob, &pos)
-		if err != nil {
-			return nil, err
-		}
-		cpos := 0
-		child, err := inspectAt(sec, &cpos)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", c, err)
-		}
-		child.Kind = fmt.Sprintf("chunk[%d] %s", c, child.Kind)
-		info.Children = append(info.Children, child)
 	}
 	return info, nil
 }

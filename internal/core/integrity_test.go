@@ -202,36 +202,37 @@ func TestVerifyBuffersCatchesTamperedRecon(t *testing.T) {
 	ds := tinyField()
 	eb := ds.AbsErrorBound(1e-3)
 	vol := len(ds.Data)
+	lay := grid.IdentityLayout(ds.Dims)
 
 	t.Run("lorenzo", func(t *testing.T) {
 		cfg := lorenzo.Config{EB: eb, Radius: 512}
 		bins := make([]int32, vol)
-		recon := make([]float32, vol)
-		lits, err := lorenzo.CompressBuffers(ds.Data, ds.Dims, cfg, bins, recon)
+		recon := append([]float32(nil), ds.Data...)
+		lits, err := lorenzo.CompressLayout(recon, lay, cfg, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := lorenzo.VerifyBuffers(bins, lits, ds.Dims, cfg, recon, 1); err != nil || n != vol {
+		if n, err := lorenzo.VerifyLayout(bins, lits, lay, cfg, recon, 1); err != nil || n != vol {
 			t.Fatalf("intact recon: n=%d err=%v", n, err)
 		}
 		recon[vol/2] += float32(10 * eb)
-		if _, err := lorenzo.VerifyBuffers(bins, lits, ds.Dims, cfg, recon, 1); err == nil {
+		if _, err := lorenzo.VerifyLayout(bins, lits, lay, cfg, recon, 1); err == nil {
 			t.Fatal("tampered recon passed verification")
 		}
 	})
 	t.Run("interp", func(t *testing.T) {
 		cfg := interp.Config{EB: eb, Radius: 512}
 		bins := make([]int32, vol)
-		recon := make([]float32, vol)
-		lits, err := interp.CompressBuffers(ds.Data, ds.Dims, cfg, bins, recon)
+		recon := append([]float32(nil), ds.Data...)
+		lits, err := interp.CompressLayout(recon, lay, cfg, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := interp.VerifyBuffers(bins, lits, ds.Dims, cfg, recon, 1); err != nil || n != vol {
+		if n, err := interp.VerifyLayout(bins, lits, lay, cfg, recon, 1); err != nil || n != vol {
 			t.Fatalf("intact recon: n=%d err=%v", n, err)
 		}
 		recon[vol/2] += float32(10 * eb)
-		if _, err := interp.VerifyBuffers(bins, lits, ds.Dims, cfg, recon, 1); err == nil {
+		if _, err := interp.VerifyLayout(bins, lits, lay, cfg, recon, 1); err == nil {
 			t.Fatal("tampered recon passed verification")
 		}
 	})

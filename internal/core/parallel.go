@@ -248,12 +248,11 @@ func decompressChunked(blob []byte, opt DecompressOptions, partial bool) ([]floa
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cpos := 0
 			// Chunks already decode concurrently; nested intra-blob
 			// parallelism would only oversubscribe the worker budget.
 			copt := opt.prefixed(fmt.Sprintf("chunk[%d]", c))
 			copt.Workers = 1
-			data, cdims, err := decompressAt(chunks[c].blob, &cpos, copt)
+			data, cdims, _, err := decompressAt(chunks[c].blob, copt)
 			if err != nil {
 				errs[c] = err
 				return

@@ -69,20 +69,66 @@ func sectionBounds(n, k int) []int {
 	return chunkBounds(n, k, 0)
 }
 
-// predictSections runs prediction+quantization over P contiguous sections of
-// the (logically) fused grid, writing bins into a global slice and returning
-// the concatenated literal stream. The engines run in place on work, which
-// holds the original values at lay's physical positions on entry and the
-// reconstruction on exit. Sections cut the leading logical axis, so their
-// physical footprints are disjoint and the engines never race. P==1 degrades
-// to one engine over the whole grid on the calling goroutine.
-func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
-	p Pipeline, fill float32, opt Options, P int) ([]int32, []float32, error) {
+// The header carries every predictor setting a blob's sections share;
+// predict and replay pick the engine, interp or lorenzo, that its fitting
+// names. The encode and decode halves stay apart, so no decode path
+// reaches encoder code.
+
+func (h header) lorenzoConfig(valid []bool) lorenzo.Config {
+	return lorenzo.Config{EB: h.eb, Radius: h.radius, Valid: valid, FillValue: h.fill}
+}
+
+func (h header) interpConfig(valid []bool) interp.Config {
+	return interp.Config{
+		EB:            h.eb,
+		Radius:        h.radius,
+		Fitting:       h.pipe.Fitting,
+		Valid:         valid,
+		FillValue:     h.fill,
+		LevelEBFactor: levelEBFactor(h.pipe.LevelAlpha),
+	}
+}
+
+// predict encodes one section in place (data in, reconstruction out of
+// work), writing its bins and returning its literals.
+func (h header) predict(work []float32, lay grid.Layout, valid []bool, bins []int32) ([]float32, error) {
+	if h.pipe.Fitting == predict.Lorenzo {
+		return lorenzo.CompressLayout(work, lay, h.lorenzoConfig(valid), bins)
+	}
+	return interp.CompressLayout(work, lay, h.interpConfig(valid), bins)
+}
+
+// replay decodes one section's bins and literals into out when every is 0.
+// With every > 0 it instead replays the traversal read-only over the
+// finished reconstruction in out and returns the number of points checked.
+func (h header) replay(out []float32, lay grid.Layout, valid []bool, bins []int32, lits []float32, every int) (int, error) {
+	lorenzoFit := h.pipe.Fitting == predict.Lorenzo
+	switch {
+	case lorenzoFit && every > 0:
+		return lorenzo.VerifyLayout(bins, lits, lay, h.lorenzoConfig(valid), out, every)
+	case lorenzoFit:
+		return 0, lorenzo.DecompressLayout(bins, lits, lay, h.lorenzoConfig(valid), out)
+	case every > 0:
+		return interp.VerifyLayout(bins, lits, lay, h.interpConfig(valid), out, every)
+	}
+	return 0, interp.DecompressLayout(bins, lits, lay, h.interpConfig(valid), out)
+}
+
+// predictSections runs prediction+quantization over the h.psections
+// contiguous sections of the (logically) fused grid, writing bins into a
+// global slice and returning the concatenated literal stream. The engines
+// run in place on work, which holds the original values at lay's physical
+// positions on entry and the reconstruction on exit. Sections cut the
+// leading logical axis, so their physical footprints are disjoint and the
+// engines never race. One section degrades to one engine over the whole
+// grid on the calling goroutine.
+func predictSections(work []float32, lay grid.Layout, tvalid []bool, h header,
+	opt Options) ([]int32, []float32, error) {
 
 	fdims := lay.Dims
 	vol := grid.Volume(fdims)
 	bins := make([]int32, vol)
-	bounds := sectionBounds(fdims[0], P)
+	bounds := sectionBounds(fdims[0], h.psections)
 	nSec := len(bounds) - 1
 	plane := vol / fdims[0]
 	secLits := make([][]float32, nSec)
@@ -102,22 +148,7 @@ func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
 			tc = trace.Prefixed(opt.Trace, fmt.Sprintf("shard[%d]", i))
 		}
 		sp := trace.Begin(tc, "predict")
-		var lits []float32
-		var err error
-		if p.Fitting == predict.Lorenzo {
-			lits, err = lorenzo.CompressLayout(work, slay, lorenzo.Config{
-				EB: eb, Radius: opt.radius(), Valid: svalid, FillValue: fill,
-			}, bins[lo:hi])
-		} else {
-			lits, err = interp.CompressLayout(work, slay, interp.Config{
-				EB:            eb,
-				Radius:        opt.radius(),
-				Fitting:       p.Fitting,
-				Valid:         svalid,
-				FillValue:     fill,
-				LevelEBFactor: levelEBFactor(p.LevelAlpha),
-			}, bins[lo:hi])
-		}
+		lits, err := h.predict(work, slay, svalid, bins[lo:hi])
 		if err != nil {
 			errs[i] = err
 			return
@@ -146,23 +177,29 @@ func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
 	return bins, lits, nil
 }
 
-// reconstructSections reverses predictSections: the same partition (P from
-// the blob header) is replayed over the global bins, each section consuming
-// its own prefix of the literal stream, with up to `workers` concurrent
-// engines. The reconstruction lands at lay's physical positions in the
-// caller-provided out buffer — under a fused layout that is already the
-// original array layout, so no unpermute pass follows.
-func reconstructSections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool,
-	h header, workers, P int, tc trace.Collector, out []float32) error {
+// replaySections reverses predictSections: the same partition (from the
+// blob header) is replayed over the global bins, each section consuming its
+// own prefix of the literal stream, with up to `workers` concurrent engines.
+// With every == 0 the reconstruction lands at lay's physical positions in
+// the caller-provided out buffer — under a fused layout that is already the
+// original array layout, so no unpermute pass follows. With every > 0 each
+// section replays its traversal read-only over the finished reconstruction
+// in out, checking that every `every`-th point is exactly regenerated from
+// its recorded bin or literal; the result is the number of points checked.
+func replaySections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool,
+	h header, workers, every int, tc trace.Collector, out []float32) (int, error) {
 
 	fdims := lay.Dims
-	bounds, litStart, err := sectionLitStarts(bins, lits, fdims, tvalid, P)
+	bounds, litStart, err := sectionLitStarts(bins, lits, fdims, tvalid, h.psections)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	nSec := len(bounds) - 1
 	plane := len(bins) / fdims[0]
-	errs := make([]error, nSec)
+	res := make([]struct {
+		n   int
+		err error
+	}, nSec)
 	par.Run(workers, nSec, func(i int) {
 		lo, hi := bounds[i]*plane, bounds[i+1]*plane
 		slay := lay.Section(bounds[i], bounds[i+1])
@@ -175,28 +212,17 @@ func reconstructSections(bins []int32, lits []float32, lay grid.Layout, tvalid [
 			stc = trace.Prefixed(tc, fmt.Sprintf("shard[%d]", i))
 		}
 		sp := trace.Begin(stc, "reconstruct")
-		if h.pipe.Fitting == predict.Lorenzo {
-			errs[i] = lorenzo.DecompressLayout(bins[lo:hi], lits[litStart[i]:], slay, lorenzo.Config{
-				EB: h.eb, Radius: h.radius, Valid: svalid, FillValue: h.fill,
-			}, out)
-		} else {
-			errs[i] = interp.DecompressLayout(bins[lo:hi], lits[litStart[i]:], slay, interp.Config{
-				EB:            h.eb,
-				Radius:        h.radius,
-				Fitting:       h.pipe.Fitting,
-				Valid:         svalid,
-				FillValue:     h.fill,
-				LevelEBFactor: levelEBFactor(h.pipe.LevelAlpha),
-			}, out)
-		}
+		res[i].n, res[i].err = h.replay(out, slay, svalid, bins[lo:hi], lits[litStart[i]:], every)
 		sp.EndFull(int64(hi-lo)*4, int64(hi-lo)*4, int64(hi-lo), nil)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	total := 0
+	for _, r := range res {
+		if r.err != nil {
+			return 0, r.err
 		}
+		total += r.n
 	}
-	return nil
+	return total, nil
 }
 
 // sectionLitStarts replays the encoder's section partition and computes each
@@ -226,55 +252,6 @@ func sectionLitStarts(bins []int32, lits []float32, fdims []int, tvalid []bool, 
 		return nil, nil, fmt.Errorf("core: literal stream underrun: %w", ErrCorrupt)
 	}
 	return bounds, litStart, nil
-}
-
-// verifySections mirrors reconstructSections in verify mode: each section
-// replays its prediction traversal read-only over the finished
-// reconstruction (addressed through lay) and checks that every `every`-th
-// point is exactly regenerated from its recorded bin or literal. Returns the
-// total number of points checked.
-func verifySections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool,
-	h header, workers, P, every int, recon []float32) (int, error) {
-
-	fdims := lay.Dims
-	bounds, litStart, err := sectionLitStarts(bins, lits, fdims, tvalid, P)
-	if err != nil {
-		return 0, err
-	}
-	nSec := len(bounds) - 1
-	plane := len(bins) / fdims[0]
-	counts := make([]int, nSec)
-	errs := make([]error, nSec)
-	par.Run(workers, nSec, func(i int) {
-		lo, hi := bounds[i]*plane, bounds[i+1]*plane
-		slay := lay.Section(bounds[i], bounds[i+1])
-		var svalid []bool
-		if tvalid != nil {
-			svalid = tvalid[lo:hi]
-		}
-		if h.pipe.Fitting == predict.Lorenzo {
-			counts[i], errs[i] = lorenzo.VerifyLayout(bins[lo:hi], lits[litStart[i]:], slay, lorenzo.Config{
-				EB: h.eb, Radius: h.radius, Valid: svalid, FillValue: h.fill,
-			}, recon, every)
-		} else {
-			counts[i], errs[i] = interp.VerifyLayout(bins[lo:hi], lits[litStart[i]:], slay, interp.Config{
-				EB:            h.eb,
-				Radius:        h.radius,
-				Fitting:       h.pipe.Fitting,
-				Valid:         svalid,
-				FillValue:     h.fill,
-				LevelEBFactor: levelEBFactor(h.pipe.LevelAlpha),
-			}, recon, every)
-		}
-	})
-	total := 0
-	for i, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-		total += counts[i]
-	}
-	return total, nil
 }
 
 // symsPool recycles the uint32 staging slice the unclassified encode path

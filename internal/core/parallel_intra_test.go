@@ -211,18 +211,9 @@ func TestWorkers1MatchesV1Golden(t *testing.T) {
 	if h.psections != 1 {
 		t.Fatalf("v1 fixture parsed psections=%d, want implied 1", h.psections)
 	}
-	var ids []byte
-	if h.flags&(flagMask|flagPointMask) != 0 {
-		ids = append(ids, secMask)
-	}
-	if h.flags&flagClassify != 0 {
-		ids = append(ids, secClassMeta, secBinsA, secBinsB)
-	} else {
-		ids = append(ids, secBins)
-	}
-	ids = append(ids, secLiterals)
+	var plan [maxPlan]byte
 	w := blobWriter{h: h}
-	for _, id := range ids {
+	for _, id := range sectionPlan(h.flags, &plan) {
 		sec, err := readSection(v1, &pos)
 		if err != nil {
 			t.Fatalf("v1 fixture section %s: %v", sectionName(id), err)

@@ -125,8 +125,7 @@ func TestChunkedCorrupt(t *testing.T) {
 		}
 	}
 	// The unit decoder behind the magic dispatch must reject the container.
-	pos := 0
-	if _, _, err := decompressAt(blob, &pos, DecompressOptions{}); err == nil {
+	if _, _, _, err := decompressAt(blob, DecompressOptions{}); err == nil {
 		t.Fatal("unit decoder accepted a container")
 	}
 }

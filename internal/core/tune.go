@@ -522,16 +522,12 @@ func topCandidates(cands []Candidate, k int) []Candidate {
 // periodicSectionSizes splits a periodic blob's size into the template
 // section and everything else (header + residual).
 func periodicSectionSizes(blob []byte) (tmplLen, restLen int, ok bool) {
-	pos := 0
-	h, err := parseHeader(blob, &pos)
-	if err != nil || h.flags&flagPeriodic == 0 {
+	var b blobRead
+	if readBlob(blob, &b) != nil || b.h.flags&flagPeriodic == 0 || b.err() != nil {
 		return 0, 0, false
 	}
-	tmpl, err := readSection(blob, &pos)
-	if err != nil {
-		return 0, 0, false
-	}
-	return len(tmpl), len(blob) - len(tmpl), true
+	tmpl := b.section(secTemplate).bytes
+	return tmpl, len(blob) - tmpl, true
 }
 
 // tuneTemplate picks the best sub-pipeline for the template data (paper

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 	"sync/atomic"
 
@@ -130,93 +129,66 @@ func (r *VerifyReport) add(c SectionCheck) { r.Sections = append(r.Sections, c) 
 // the header CRC and every section CRC-32C recomputed; v1/v2 blobs (which
 // carry no checksums) are walked structurally. Periodic children and
 // container chunks are verified recursively under qualified paths. The
-// report tells damage apart by section; it never panics on hostile input.
+// report, a flattening of walk, tells damage apart by section; it never
+// panics on hostile input.
 func Verify(blob []byte) *VerifyReport {
-	rep := &VerifyReport{Kind: "unit"}
-	if IsChunked(blob) {
-		rep.Kind = "chunked"
-		_, chunks, err := parseChunkedContainer(blob)
-		if err != nil {
-			rep.add(SectionCheck{Path: "container", Bytes: len(blob), OK: false, Detail: err.Error()})
-			return rep
-		}
-		for i, ch := range chunks {
-			v, c := verifyAt(ch.blob, fmt.Sprintf("chunk[%d]/", i), rep)
-			if i == 0 {
-				rep.Version, rep.Checksummed = v, c
-			} else if !c {
-				rep.Checksummed = false
-			}
-		}
+	n := walk(blob)
+	rep := &VerifyReport{Kind: n.kind()}
+	if !n.chunked {
+		rep.Checksummed = rep.flatten(n, "")
+		rep.Version = int(n.h.version)
 		return rep
 	}
-	ver, crc := verifyAt(blob, "", rep)
-	rep.Version, rep.Checksummed = ver, crc
-	if len(blob) > 0 {
-		pos := 0
-		if h, err := parseHeader(blob, &pos); err == nil && h.flags&flagPeriodic != 0 {
-			rep.Kind = "periodic"
+	if n.fault != nil {
+		rep.add(SectionCheck{Path: "container", Bytes: len(blob), OK: false, Detail: n.fault.Error()})
+		return rep
+	}
+	for i, k := range n.kids {
+		crc := rep.flatten(k, fmt.Sprintf("chunk[%d]/", i))
+		if i == 0 {
+			rep.Version, rep.Checksummed = int(k.h.version), crc
+		} else if !crc {
+			rep.Checksummed = false
 		}
 	}
 	return rep
 }
 
-// verifyAt walks one (unit or periodic) blob, appending section checks under
-// the given path prefix. It returns the blob's version and whether all of it
-// (including children) is checksummed.
-func verifyAt(blob []byte, path string, rep *VerifyReport) (version int, checksummed bool) {
-	pos := 0
-	h, err := parseHeader(blob, &pos)
-	if err != nil {
-		rep.add(SectionCheck{Path: path + "header", Bytes: len(blob), OK: false,
-			Checksummed: errors.Is(err, ErrChecksum), Detail: err.Error()})
-		return 0, false
+// flatten appends the checks of one walked unit or periodic blob under the
+// given path prefix. It reports whether all of the blob, children included,
+// is checksummed and framed intact.
+func (r *VerifyReport) flatten(n *blobNode, path string) bool {
+	if n.fault != nil {
+		r.add(SectionCheck{Path: path + "header", Bytes: n.size, OK: false,
+			Checksummed: errors.Is(n.fault, ErrChecksum), Detail: n.fault.Error()})
+		return false
 	}
-	checksummed = h.version >= version3
-	rep.add(SectionCheck{Path: path + "header", Bytes: pos, OK: true, Checksummed: checksummed})
-
-	var ids []byte
-	if h.flags&flagPeriodic != 0 {
-		ids = []byte{secTemplate, secResidual}
-	} else {
-		if h.flags&(flagMask|flagPointMask) != 0 {
-			ids = append(ids, secMask)
-		}
-		if h.flags&flagClassify != 0 {
-			ids = append(ids, secClassMeta, secBinsA, secBinsB)
-		} else {
-			ids = append(ids, secBins)
-		}
-		ids = append(ids, secLiterals)
-	}
-	sr := sectionReader{h: &h}
-	for _, id := range ids {
-		name := path + sectionName(id)
-		secStart := pos
-		sec, err := sr.next(blob, &pos, id)
-		if err != nil {
-			if errors.Is(err, ErrChecksum) {
-				// Framing is intact (the length field parsed), so later
-				// sections can still be checked independently.
-				rep.add(SectionCheck{Path: name, Bytes: pos - secStart, OK: false,
-					Checksummed: true, Detail: "checksum mismatch"})
-				continue
+	checksummed := n.h.version >= version3
+	r.add(SectionCheck{Path: path + "header", Bytes: n.hdr, OK: true, Checksummed: checksummed})
+	for i, s := range n.sections() {
+		name := path + sectionName(s.id)
+		switch {
+		case s.err == nil:
+			r.add(SectionCheck{Path: name, Bytes: s.bytes, OK: true, Checksummed: checksummed})
+			if i < len(n.kids) {
+				checksummed = r.flatten(n.kids[i], name+"/") && checksummed
 			}
-			rep.add(SectionCheck{Path: name, Bytes: len(blob) - secStart, OK: false,
-				Checksummed: checksummed, Detail: err.Error()})
-			return int(h.version), false
-		}
-		rep.add(SectionCheck{Path: name, Bytes: len(sec), OK: true, Checksummed: checksummed})
-		if id == secTemplate || id == secResidual {
-			_, childCRC := verifyAt(sec, name+"/", rep)
-			checksummed = checksummed && childCRC
+		case errors.Is(s.err, ErrChecksum):
+			// Framing is intact (the length field parsed), so later
+			// sections can still be checked independently.
+			r.add(SectionCheck{Path: name, Bytes: s.bytes, OK: false,
+				Checksummed: true, Detail: "checksum mismatch"})
+		default:
+			r.add(SectionCheck{Path: name, Bytes: s.bytes, OK: false,
+				Checksummed: checksummed, Detail: s.err.Error()})
+			return false
 		}
 	}
-	if checksummed && pos != len(blob) {
-		rep.add(SectionCheck{Path: path + "trailing", Bytes: len(blob) - pos, OK: false,
-			Checksummed: true, Detail: fmt.Sprintf("%d bytes past the last section", len(blob)-pos)})
+	if checksummed && n.end != n.size {
+		r.add(SectionCheck{Path: path + "trailing", Bytes: n.size - n.end, OK: false,
+			Checksummed: true, Detail: fmt.Sprintf("%d bytes past the last section", n.size-n.end)})
 	}
-	return int(h.version), checksummed
+	return checksummed
 }
 
 // DecompressVerified verifies every checksum, then decodes. When
@@ -260,9 +232,4 @@ func DecompressPartial(blob []byte, opt DecompressOptions) ([]float32, []int, *V
 	rep.DamagedChunks = damage
 	rep.BoundChecked = stats.boundChecked.Load()
 	return data, dims, rep, err
-}
-
-// sectionCRC is exposed for tests crafting corrupted fixtures.
-func sectionCRC(payload []byte) uint32 {
-	return crc32.Checksum(payload, crcTable)
 }

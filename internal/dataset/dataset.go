@@ -6,7 +6,9 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"cliz/internal/grid"
 	"cliz/internal/mask"
@@ -110,6 +112,53 @@ func (d *Dataset) AbsErrorBound(rel float64) float64 {
 		r = 1
 	}
 	return rel * r
+}
+
+// FromFlat completes d with the horizontal mask given as a flat lat·lon
+// region slice (nil: every point valid), the form the public API and the
+// baselines receive, and validates the result.
+func FromFlat(d Dataset, regions []int32) (*Dataset, error) {
+	if regions != nil {
+		if len(d.Dims) < 2 {
+			return nil, errors.New("dataset: mask requires at least 2 dims")
+		}
+		nLat, nLon := d.Dims[len(d.Dims)-2], d.Dims[len(d.Dims)-1]
+		if len(regions) != nLat*nLon {
+			return nil, fmt.Errorf("dataset: mask length %d != %d·%d", len(regions), nLat, nLon)
+		}
+		d.Mask = mask.New(nLat, nLon, regions)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
+
+// ResolveBound turns an error budget, exactly one of rel (a fraction of the
+// valid value range) and abs positive, into a finite absolute bound.
+func (d *Dataset) ResolveBound(rel, abs float64) (float64, error) {
+	switch {
+	case abs > 0 && rel == 0:
+		if math.IsInf(abs, 0) {
+			return 0, fmt.Errorf("dataset: non-finite absolute error bound %g", abs)
+		}
+		return abs, nil
+	case rel > 0 && abs == 0:
+		lo, hi := d.ValueRange()
+		if hi-lo <= 0 {
+			// A constant field has no value range to scale against;
+			// substituting a range of 1 would turn "0.1% of the range" into
+			// an arbitrary absolute budget.
+			return 0, fmt.Errorf("dataset: relative bound %g on a field with zero value range [%g, %g]; use Abs for constant fields", rel, lo, hi)
+		}
+		if r := d.AbsErrorBound(rel); !math.IsInf(r, 0) && !math.IsNaN(r) {
+			return r, nil
+		}
+		// An infinite value range (±Inf at a valid point) would resolve to
+		// an unbounded budget and silently destroy the data.
+		return 0, fmt.Errorf("dataset: relative bound %g resolves to a non-finite absolute bound (non-finite values at valid points?)", rel)
+	}
+	return 0, fmt.Errorf("dataset: exactly one of Rel/Abs must be positive, got Rel=%g Abs=%g", rel, abs)
 }
 
 // Validate checks internal consistency.

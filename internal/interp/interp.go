@@ -162,30 +162,16 @@ func (e *engine) checkWork(buf []float32, what string) error {
 // Compress runs prediction + quantization over data.
 func Compress(data []float32, dims []int, cfg Config) (Result, error) {
 	vol := grid.Volume(dims)
+	if len(data) != vol {
+		return Result{}, fmt.Errorf("interp: data length %d != volume %d", len(data), vol)
+	}
 	bins := make([]int32, vol)
-	recon := make([]float32, vol)
-	lits, err := CompressBuffers(data, dims, cfg, bins, recon)
+	recon := append([]float32(nil), data...)
+	lits, err := CompressLayout(recon, grid.IdentityLayout(dims), cfg, bins)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Bins: bins, Literals: lits, Recon: recon}, nil
-}
-
-// CompressBuffers is Compress writing bins and the reconstruction into
-// caller-provided slices (each of length equal to the grid volume) and
-// returning the literal stream. Sectioned parallel compression uses it to
-// run independent engine instances over disjoint windows of one global
-// bins/recon pair without per-section allocation.
-func CompressBuffers(data []float32, dims []int, cfg Config, bins []int32, recon []float32) ([]float32, error) {
-	vol := grid.Volume(dims)
-	if len(data) != vol {
-		return nil, fmt.Errorf("interp: data length %d != volume %d", len(data), vol)
-	}
-	if len(bins) != vol || len(recon) != vol {
-		return nil, fmt.Errorf("interp: buffer length %d/%d != volume %d", len(bins), len(recon), vol)
-	}
-	copy(recon, data)
-	return CompressLayout(recon, grid.IdentityLayout(dims), cfg, bins)
 }
 
 // CompressLayout runs prediction + quantization in place: on entry work
@@ -223,21 +209,10 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 // positions are ignored).
 func Decompress(bins []int32, literals []float32, dims []int, cfg Config) ([]float32, error) {
 	out := make([]float32, grid.Volume(dims))
-	if err := DecompressBuffers(bins, literals, dims, cfg, out); err != nil {
+	if err := DecompressLayout(bins, literals, grid.IdentityLayout(dims), cfg, out); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// DecompressBuffers is Decompress writing the reconstruction into a
-// caller-provided slice of length equal to the grid volume. The literal
-// slice may extend past this run's consumption (sections consume a prefix).
-func DecompressBuffers(bins []int32, literals []float32, dims []int, cfg Config, out []float32) error {
-	vol := grid.Volume(dims)
-	if len(out) != vol {
-		return fmt.Errorf("interp: out length %d != volume %d: %w", len(out), vol, ErrCorrupt)
-	}
-	return DecompressLayout(bins, literals, grid.IdentityLayout(dims), cfg, out)
 }
 
 // DecompressLayout reconstructs through a layout: bins and literals are in
@@ -267,21 +242,13 @@ func DecompressLayout(bins []int32, literals []float32, lay grid.Layout, cfg Con
 	return nil
 }
 
-// VerifyBuffers replays the decode traversal read-only over a finished
-// reconstruction, checking that every `every`-th handled point (1 = all) is
-// exactly regenerated from its recorded bin — i.e. that recon is the value
-// the bin stream commits to, which the encoder verified against the error
-// bound. It returns the number of points checked. The replay is sound
-// because decode predictions only ever reference finalized values.
-func VerifyBuffers(bins []int32, literals []float32, dims []int, cfg Config, recon []float32, every int) (int, error) {
-	vol := grid.Volume(dims)
-	if len(recon) != vol {
-		return 0, fmt.Errorf("interp: recon length %d != volume %d: %w", len(recon), vol, ErrCorrupt)
-	}
-	return VerifyLayout(bins, literals, grid.IdentityLayout(dims), cfg, recon, every)
-}
-
-// VerifyLayout is VerifyBuffers over a layout-addressed reconstruction.
+// VerifyLayout replays the decode traversal read-only over a finished
+// reconstruction addressed through lay, checking that every `every`-th
+// handled point (1 = all) is exactly regenerated from its recorded bin —
+// i.e. that recon is the value the bin stream commits to, which the encoder
+// verified against the error bound. It returns the number of points
+// checked. The replay is sound because decode predictions only ever
+// reference finalized values.
 func VerifyLayout(bins []int32, literals []float32, lay grid.Layout, cfg Config, recon []float32, every int) (int, error) {
 	e, err := newEngine(lay, cfg)
 	if err != nil {

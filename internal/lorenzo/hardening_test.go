@@ -3,6 +3,8 @@ package lorenzo
 import (
 	"errors"
 	"testing"
+
+	"cliz/internal/grid"
 )
 
 // TestDecompressLiteralUnderrun drives the decoder with bins that all
@@ -36,7 +38,7 @@ func TestDecompressShapeMismatch(t *testing.T) {
 func TestVerifyBuffersBinRange(t *testing.T) {
 	bins := []int32{1 << 30, 1, 1, 1}
 	recon := make([]float32, 4)
-	_, err := VerifyBuffers(bins, nil, []int{2, 2}, Config{EB: 0.01}, recon, 1)
+	_, err := VerifyLayout(bins, nil, grid.IdentityLayout([]int{2, 2}), Config{EB: 0.01}, recon, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-range bin: want ErrCorrupt, got %v", err)
 	}

@@ -184,28 +184,16 @@ func (e *engine) checkWork(buf []float32, what string) error {
 // Compress runs Lorenzo prediction + quantization over data.
 func Compress(data []float32, dims []int, cfg Config) (Result, error) {
 	vol := grid.Volume(dims)
+	if len(data) != vol {
+		return Result{}, fmt.Errorf("lorenzo: data length %d != volume %d", len(data), vol)
+	}
 	bins := make([]int32, vol)
-	recon := make([]float32, vol)
-	lits, err := CompressBuffers(data, dims, cfg, bins, recon)
+	recon := append([]float32(nil), data...)
+	lits, err := CompressLayout(recon, grid.IdentityLayout(dims), cfg, bins)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Bins: bins, Literals: lits, Recon: recon}, nil
-}
-
-// CompressBuffers is Compress writing bins and the reconstruction into
-// caller-provided slices (mirrors interp.CompressBuffers for the sectioned
-// parallel path).
-func CompressBuffers(data []float32, dims []int, cfg Config, bins []int32, recon []float32) ([]float32, error) {
-	vol := grid.Volume(dims)
-	if len(data) != vol {
-		return nil, fmt.Errorf("lorenzo: data length %d != volume %d", len(data), vol)
-	}
-	if len(bins) != vol || len(recon) != vol {
-		return nil, fmt.Errorf("lorenzo: buffer length %d/%d != volume %d", len(bins), len(recon), vol)
-	}
-	copy(recon, data)
-	return CompressLayout(recon, grid.IdentityLayout(dims), cfg, bins)
 }
 
 // CompressLayout runs prediction + quantization in place through a layout:
@@ -239,20 +227,10 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 // (scan order).
 func Decompress(bins []int32, literals []float32, dims []int, cfg Config) ([]float32, error) {
 	out := make([]float32, grid.Volume(dims))
-	if err := DecompressBuffers(bins, literals, dims, cfg, out); err != nil {
+	if err := DecompressLayout(bins, literals, grid.IdentityLayout(dims), cfg, out); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// DecompressBuffers is Decompress writing into a caller-provided slice; the
-// literal slice may extend past this run's consumption.
-func DecompressBuffers(bins []int32, literals []float32, dims []int, cfg Config, out []float32) error {
-	vol := grid.Volume(dims)
-	if len(out) != vol {
-		return fmt.Errorf("lorenzo: out length %d != volume %d: %w", len(out), vol, ErrCorrupt)
-	}
-	return DecompressLayout(bins, literals, grid.IdentityLayout(dims), cfg, out)
 }
 
 // DecompressLayout reconstructs through a layout: bins and literals are in
@@ -281,20 +259,11 @@ func DecompressLayout(bins []int32, literals []float32, lay grid.Layout, cfg Con
 	return nil
 }
 
-// VerifyBuffers replays the decode scan read-only over a finished
-// reconstruction, checking that every `every`-th handled point (1 = all) is
-// exactly regenerated from its recorded bin or literal. Sound because
-// Lorenzo references are always lower-corner neighbours, finalized before
-// the target point on both sides.
-func VerifyBuffers(bins []int32, literals []float32, dims []int, cfg Config, recon []float32, every int) (int, error) {
-	vol := grid.Volume(dims)
-	if len(recon) != vol {
-		return 0, fmt.Errorf("lorenzo: recon length %d != volume %d: %w", len(recon), vol, ErrCorrupt)
-	}
-	return VerifyLayout(bins, literals, grid.IdentityLayout(dims), cfg, recon, every)
-}
-
-// VerifyLayout is VerifyBuffers over a layout-addressed reconstruction.
+// VerifyLayout replays the decode scan read-only over a finished
+// reconstruction addressed through lay, checking that every `every`-th
+// handled point (1 = all) is exactly regenerated from its recorded bin or
+// literal. Sound because Lorenzo references are always lower-corner
+// neighbours, finalized before the target point on both sides.
 func VerifyLayout(bins []int32, literals []float32, lay grid.Layout, cfg Config, recon []float32, every int) (int, error) {
 	e, err := newEngine(lay, cfg)
 	if err != nil {

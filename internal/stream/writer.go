@@ -41,7 +41,7 @@ type Config struct {
 	// time axis) and UseMask follows Mask.
 	Pipe *core.Pipeline
 	// Opts carries the shared implementation knobs: workers, entropy kind,
-	// quantizer radius, lossless backend, trace, interrupt.
+	// trace, interrupt.
 	Opts core.Options
 }
 
@@ -115,14 +115,10 @@ func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
 	if cfg.Interval < 1 || cfg.Interval > maxInterval {
 		return nil, fmt.Errorf("stream: keyframe interval %d not in 1..%d", cfg.Interval, maxInterval)
 	}
-	radius := cfg.Opts.Radius
-	if radius == 0 {
-		radius = quant.DefaultRadius
-	}
 	sw := &Writer{
 		w:   w,
 		cfg: cfg,
-		q:   quant.New(cfg.EB, radius),
+		q:   quant.New(cfg.EB, quant.DefaultRadius),
 	}
 	if cfg.Mask != nil {
 		if len(cfg.Dims) < 2 {
@@ -156,7 +152,7 @@ func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
 	h := streamHeader{
 		eb:       cfg.EB,
 		fill:     cfg.Fill,
-		radius:   radius,
+		radius:   quant.DefaultRadius,
 		dims:     cfg.Dims,
 		interval: cfg.Interval,
 		mask:     cfg.Mask,
@@ -342,10 +338,7 @@ func (w *Writer) encodeDelta(frame []float32) ([]byte, []float32, int, error) {
 		syms = append(syms, uint32(bin))
 		recon[i] = float32(rv)
 	}
-	be := w.cfg.Opts.Backend
-	if be == nil {
-		be = lossless.Flate{Level: 6}
-	}
+	be := lossless.Flate{Level: 6}
 	workers := w.cfg.Opts.Workers
 	if workers < 1 {
 		workers = 1

@@ -150,7 +150,7 @@ func (w *StreamWriter) start(frame []float32) error {
 	if err != nil {
 		return err
 	}
-	abs, err := w.eb.resolve(ids)
+	abs, err := ids.ResolveBound(w.eb.Rel, w.eb.Abs)
 	if err != nil {
 		return err
 	}
